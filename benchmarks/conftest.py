@@ -48,8 +48,7 @@ def executor():
     """
     from repro.runner import SweepExecutor
 
-    with SweepExecutor(backend="auto") as ex:
-        yield ex
+    return SweepExecutor(backend="auto")
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -277,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", "--workers", type=int, default=1,
                    metavar="N", dest="jobs",
                    help="worker processes for the drain executor")
-    p.add_argument("--cache", default=None, metavar="FILE",
-                   help="executor on-disk cache file (flushed on shutdown)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="shared result-store directory: preloaded into the "
                         "lookup tier at startup, populated as the service "
@@ -372,8 +370,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     policy = _retry_policy(args)
     if policy is not None:
-        with SweepExecutor(backend=args.backend, retry=policy) as ex:
-            out = ex.run_one(job)
+        out = SweepExecutor(backend=args.backend, retry=policy).run_one(job)
         if getattr(out, "failed", False):
             print(f"error: {out.describe()}", file=sys.stderr)
             return 1
@@ -424,15 +421,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .viz.profile import render_histogram, render_profile
 
     cfg = _memory(args)
-    with SweepExecutor(
-        backend=args.backend, **_executor_kwargs(args)
-    ) as ex:
-        prof = start_space_profile(
-            cfg, args.d1, args.d2,
-            same_cpu=args.same_cpu, priority=args.priority,
-            arbiter=args.arbiter, regulate=tuple(args.regulate),
-            executor=ex,
-        )
+    prof = start_space_profile(
+        cfg, args.d1, args.d2,
+        same_cpu=args.same_cpu, priority=args.priority,
+        arbiter=args.arbiter, regulate=tuple(args.regulate),
+        executor=SweepExecutor(backend=args.backend, **_executor_kwargs(args)),
+    )
     print(render_profile(prof, title=f"start space on {cfg.describe()}"))
     print()
     print(render_histogram(prof))
@@ -477,49 +471,45 @@ def _census_observed(cfg: MemoryConfig, args: argparse.Namespace) -> int:
 
     # The observed census runs on the plain (unsectioned) shape.
     flat = MemoryConfig(banks=cfg.banks, bank_cycle=cfg.bank_cycle)
-    with SweepExecutor(
-        backend=args.backend or "auto", **_executor_kwargs(args)
-    ) as ex:
-        counts = observed_regime_census(
-            cfg.banks, cfg.bank_cycle, executor=ex
-        )
-        total_pairs = sum(counts.values())
-        print(format_table(
-            ["observed regime", "pairs", "share"],
-            [
-                (label, n, f"{100 * n / total_pairs:.1f}%")
-                for label, n in sorted(
-                    counts.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            ],
-            title=(
-                f"Observed regime census for {flat.describe()}: "
-                f"{total_pairs} canonical pairs, all relative starts"
-            ),
-        ))
-        # Summary pass: exact bandwidth distribution over the same jobs.
-        total = Fraction(0)
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        n_jobs = 0
-        for d1, d2 in canonical_pairs(cfg.banks):
-            jobs = jobs_for_offsets(flat, d1, d2, range(cfg.banks))
-            for out in ex.run_many(jobs):
-                n_jobs += 1
-                total += out.bandwidth
-                if lo is None or out.bandwidth < lo:
-                    lo = out.bandwidth
-                if hi is None or out.bandwidth > hi:
-                    hi = out.bandwidth
-        assert lo is not None and hi is not None
-        print()
-        print(f"{n_jobs} start-resolved runs: "
-              f"b_eff min {fraction_str(lo)}, "
-              f"mean {fraction_str(total / n_jobs)}, "
-              f"max {fraction_str(hi)}")
-        st = ex.stats
-        print(f"executor: {st.submitted} submitted, {st.hits} memo hits, "
-              f"{st.deduped} deduped, {st.executed} executed")
+    ex = SweepExecutor(backend=args.backend or "auto", **_executor_kwargs(args))
+    counts = observed_regime_census(cfg.banks, cfg.bank_cycle, executor=ex)
+    total_pairs = sum(counts.values())
+    print(format_table(
+        ["observed regime", "pairs", "share"],
+        [
+            (label, n, f"{100 * n / total_pairs:.1f}%")
+            for label, n in sorted(
+                counts.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+        ],
+        title=(
+            f"Observed regime census for {flat.describe()}: "
+            f"{total_pairs} canonical pairs, all relative starts"
+        ),
+    ))
+    # Summary pass: exact bandwidth distribution over the same jobs.
+    total = Fraction(0)
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    n_jobs = 0
+    for d1, d2 in canonical_pairs(cfg.banks):
+        jobs = jobs_for_offsets(flat, d1, d2, range(cfg.banks))
+        for out in ex.run_many(jobs):
+            n_jobs += 1
+            total += out.bandwidth
+            if lo is None or out.bandwidth < lo:
+                lo = out.bandwidth
+            if hi is None or out.bandwidth > hi:
+                hi = out.bandwidth
+    assert lo is not None and hi is not None
+    print()
+    print(f"{n_jobs} start-resolved runs: "
+          f"b_eff min {fraction_str(lo)}, "
+          f"mean {fraction_str(total / n_jobs)}, "
+          f"max {fraction_str(hi)}")
+    st = ex.stats
+    print(f"executor: {st.submitted} submitted, {st.hits} memo hits, "
+          f"{st.deduped} deduped, {st.executed} executed")
     return 0
 
 
@@ -569,7 +559,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         backend=args.backend,
         store_path=args.store,
-        cache_path=args.cache,
         workers=args.jobs,
         max_inflight=args.max_inflight,
         precompute_jobs=precompute_jobs,

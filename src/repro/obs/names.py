@@ -57,14 +57,11 @@ EXECUTOR_DEDUPED = "runner.executor.deduped"
 EXECUTOR_EXECUTED = "runner.executor.executed"
 EXECUTOR_MEMO_EVICTIONS = "runner.executor.memo_evictions"
 EXECUTOR_MEMO_SIZE = "runner.executor.memo_size"
-EXECUTOR_DISK_LOADED = "runner.executor.disk_loaded"
 EXECUTOR_CHUNK_JOBS = "runner.executor.chunk_jobs"
 EXECUTOR_RETRIES = "runner.executor.retries"
 EXECUTOR_FAILURES = "runner.executor.failures"
 EXECUTOR_RECOVERED = "runner.executor.recovered"
 EXECUTOR_POOL_REBUILDS = "runner.executor.pool_rebuilds"
-EXECUTOR_AUTOFLUSHES = "runner.executor.autoflushes"
-EXECUTOR_CACHE_QUARANTINED = "runner.executor.cache_quarantined"
 
 AUTO_DISPATCH = "runner.auto.dispatch"
 ANALYTIC_DECIDED = "runner.analytic.decided"
@@ -172,18 +169,6 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
         "walker).",
     ),
     MetricSpec(
-        EXECUTOR_AUTOFLUSHES, "counter", (),
-        "repro.runner.executor.SweepExecutor._finish_chunk",
-        "Periodic crash-safety flushes of the on-disk cache (every "
-        "flush_every executed chunks).",
-    ),
-    MetricSpec(
-        EXECUTOR_CACHE_QUARANTINED, "counter", (),
-        "repro.runner.executor.SweepExecutor._quarantine",
-        "Corrupt/version-mismatched on-disk cache files moved aside to "
-        "<path>.corrupt.",
-    ),
-    MetricSpec(
         EXECUTOR_CHUNK_JOBS, "histogram", (),
         "repro.runner.scheduling.ChunkRunner.observe_chunk",
         "Unique jobs per dispatched batch chunk (inline batches count "
@@ -193,11 +178,6 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
         EXECUTOR_DEDUPED, "counter", (),
         "repro.runner.executor.SweepExecutor.run_many",
         "Jobs folded onto an isomorphic twin within the same batch.",
-    ),
-    MetricSpec(
-        EXECUTOR_DISK_LOADED, "counter", (),
-        "repro.runner.executor.SweepExecutor.__init__",
-        "Outcomes loaded from the on-disk cache at construction.",
     ),
     MetricSpec(
         EXECUTOR_EXECUTED, "counter", (),
@@ -218,8 +198,8 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     MetricSpec(
         EXECUTOR_MEMO_HITS, "counter", (),
         "repro.runner.executor.SweepExecutor.run_many",
-        "Jobs served from the in-process memo (disk-loaded entries "
-        "surface here once loaded).",
+        "Jobs served from the in-process memo or the shared result "
+        "store.",
     ),
     MetricSpec(
         EXECUTOR_MEMO_SIZE, "gauge", (),

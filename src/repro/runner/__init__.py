@@ -21,9 +21,9 @@ Every simulation in the repository flows through three layers:
     environment variable.
 ``executor``
     :class:`SweepExecutor` — deduplicates isomorphic jobs, memoizes
-    outcomes in an LRU in-process cache and a crash-safe on-disk JSON
-    cache (quarantine-on-corruption, merge-on-flush, periodic
-    auto-flush), and hands placement to a scheduler.
+    outcomes in an LRU in-process cache in front of an optional
+    :class:`ResultStore` (its only on-disk level), and hands placement
+    to a scheduler.
 ``scheduling`` / ``sharding`` / ``store``
     The scheduler split: :class:`ChunkRunner` is the execution core;
     :class:`InlineScheduler`, :class:`PoolScheduler` (shared work queue

@@ -8,17 +8,13 @@ gives them one shared engine room:
 * **dedup** — jobs canonicalize through the Appendix isomorphism
   (:meth:`repro.runner.job.SimJob.cache_key`), so isomorphic jobs run
   once;
-* **memoization** — outcomes cache in-process and, optionally, in an
-  on-disk JSON file keyed by the canonical job hash (exact ``Fraction``
-  values survive the round trip).  The disk cache is crash-safe:
-  corrupt/truncated/version-mismatched files are quarantined to
-  ``<path>.corrupt`` instead of raising, flushes *merge* with the
-  entries already on disk (LRU eviction never deletes persisted
-  results) and publish through a unique temp file + ``os.replace`` (a
-  killed or concurrent flusher can never leave a torn file), and with
-  a cache path configured the executor auto-flushes every
-  ``flush_every`` executed chunks, so a killed process loses at most
-  one chunk of work;
+* **memoization** — outcomes cache in an LRU in-process memo keyed by
+  the canonical job hash and, with ``store_path``/``store`` set, in a
+  content-addressed :class:`~repro.runner.store.ResultStore` probed
+  after the memo.  The store is the only on-disk level: every finished
+  chunk is published to it as it completes (one atomic file per key,
+  corrupt entries quarantined), so a killed process loses at most its
+  in-flight chunk, and concurrent sweeps share one directory;
 * **scheduling** — *what runs where* is delegated to a
   :class:`~repro.runner.scheduling.Scheduler` over the
   :class:`~repro.runner.scheduling.ChunkRunner` execution core:
@@ -26,8 +22,7 @@ gives them one shared engine room:
   shared work queue and straggler-splitting work stealing) or
   ``shard`` (hash-partitioned workers over a content-addressed
   :class:`~repro.runner.store.ResultStore`); see docs/RUNNER.md
-  "Scheduling".  With ``store_path`` set the store doubles as a third
-  cache level shared between processes and sweeps;
+  "Scheduling";
 * **fault tolerance** — with a :class:`~repro.runner.resilience.
   RetryPolicy` attached, crashed pools are rebuilt, failed or timed-out
   chunks retried on a deterministic backoff schedule and bisected to
@@ -41,12 +36,8 @@ directly when you need those.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
-import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence, cast
 
 from ..obs import metrics as _metrics
@@ -67,14 +58,10 @@ from .scheduling import (
     Scheduler,
 )
 from .scheduling import _Chunk as _Chunk
-from .scheduling import chunk_size as _chunk_size_impl
-from .scheduling import preferred_chunk as _preferred_chunk_impl
 from .sharding import ShardScheduler
 from .store import ResultStore
 
 __all__ = ["ExecutorStats", "SweepExecutor", "default_executor"]
-
-_CACHE_VERSION = 1
 
 #: Scheduler names accepted by :class:`SweepExecutor`.
 _SCHEDULER_NAMES = ("inline", "pool", "shard")
@@ -85,7 +72,7 @@ class ExecutorStats:
     """Work accounting for one executor (monotonic counters)."""
 
     submitted: int = 0
-    #: served from the in-process, on-disk, or shared-store cache
+    #: served from the in-process memo or the shared result store
     hits: int = 0
     #: duplicates folded onto another job in the same batch
     deduped: int = 0
@@ -126,24 +113,6 @@ _STAT_METRICS = (
 )
 
 
-def _preferred_chunk(backend: str | None) -> int:
-    """The dispatched backend's advertised chunk-size hint (``1`` when
-    the backend does not advertise one)."""
-    return _preferred_chunk_impl(backend)
-
-
-def _chunk_size(n_items: int, workers: int, preferred: int) -> int:
-    """Pooled chunk size honouring the backend's ``preferred_chunk``
-    (see :func:`repro.runner.scheduling.chunk_size`)."""
-    return _chunk_size_impl(n_items, workers, preferred)
-
-
-def _execute_payload(args: tuple[SimJob, str | None]) -> dict:
-    """Process-pool worker: run one job, return its JSON-safe payload."""
-    job, backend = args
-    return run(job, backend=backend).to_payload()
-
-
 def _execute_payload_batch(
     args: tuple[list[SimJob], str | None]
 ) -> list[dict]:
@@ -166,25 +135,16 @@ class SweepExecutor:
         keeps the env-var/default resolution).
     workers:
         Process count for fan-out; ``1`` (default) runs inline.
-    cache_path:
-        Optional JSON file for the on-disk outcome cache.  Loaded at
-        construction (corrupt files are quarantined, never fatal),
-        written by :meth:`flush` (or on context exit) and auto-flushed
-        every ``flush_every`` executed chunks.
     max_memo:
         Bound on the in-process cache; least-recently-used entries are
         evicted first (a hit refreshes recency).  Eviction never
-        removes entries already persisted on disk.
+        removes entries already published to the store.
     retry:
         Optional :class:`~repro.runner.resilience.RetryPolicy` enabling
         fault-tolerant execution (retries, pool recovery, bisection
         isolation, inline degradation).  ``None`` (default) keeps the
         historical fail-fast behaviour: the first backend/pool error
         propagates.
-    flush_every:
-        With a ``cache_path``, flush the cache after this many executed
-        chunks (default 1: a killed process loses at most one chunk of
-        results).  ``None`` disables auto-flush.
     scheduler:
         Placement policy: ``"inline"``, ``"pool"``, ``"shard"``, a
         :class:`~repro.runner.scheduling.Scheduler` instance, or
@@ -196,10 +156,12 @@ class SweepExecutor:
         (implies the ``shard`` scheduler when ``scheduler`` is None).
     store_path:
         Directory for a shared content-addressed
-        :class:`~repro.runner.store.ResultStore`.  Probed before
-        execution (shared hits are cache hits, not executions) and
-        populated by every scheduler, so concurrent sweeps — and the
-        shard workers themselves — exchange results through it.
+        :class:`~repro.runner.store.ResultStore`, the executor's only
+        on-disk level.  Probed after the memo and before execution
+        (store hits are cache hits, not executions) and written chunk
+        by chunk by every scheduler, so a killed sweep keeps its
+        finished chunks and concurrent sweeps — and the shard workers
+        themselves — exchange results through it.
     store:
         An already-constructed :class:`~repro.runner.store.ResultStore`
         to share verbatim — the :mod:`repro.serve` service hands its
@@ -213,10 +175,8 @@ class SweepExecutor:
         *,
         backend: str | None = None,
         workers: int = 1,
-        cache_path: str | os.PathLike[str] | None = None,
         max_memo: int = 200_000,
         retry: RetryPolicy | None = None,
-        flush_every: int | None = 1,
         scheduler: str | Scheduler | None = None,
         shards: int | None = None,
         store_path: str | os.PathLike[str] | None = None,
@@ -226,8 +186,6 @@ class SweepExecutor:
             raise ValueError("worker count must be positive")
         if max_memo < 1:
             raise ValueError("max_memo must be positive")
-        if flush_every is not None and flush_every < 1:
-            raise ValueError("flush_every must be positive (or None)")
         if shards is not None and shards < 1:
             raise ValueError("shard count must be positive")
         if isinstance(scheduler, str) and scheduler not in _SCHEDULER_NAMES:
@@ -239,14 +197,12 @@ class SweepExecutor:
         self.workers = workers
         self.max_memo = max_memo
         self.retry = retry
-        self.flush_every = flush_every
         self.scheduler = scheduler
         self.shards = shards
         self.stats = ExecutorStats()
         self._memo: dict[str, dict] = {}
         if store is not None and store_path is not None:
             raise ValueError("pass either store= or store_path=, not both")
-        self._cache_path = Path(cache_path) if cache_path is not None else None
         self._store = (
             store
             if store is not None
@@ -255,15 +211,6 @@ class SweepExecutor:
             else None
         )
         self._publish_to_store = False
-        self._dirty = False
-        self._chunks_since_flush = 0
-        if self._cache_path is not None:
-            entries = self._read_disk_entries()
-            if entries:
-                self._memo.update(entries)
-                reg = _metrics.active_metrics()
-                if reg is not None:
-                    reg.counter(_names.EXECUTOR_DISK_LOADED).inc(len(entries))
 
     # ------------------------------------------------------------------
     def run_one(self, job: SimJob, *, backend: str | None = None) -> SimOutcome:
@@ -412,13 +359,12 @@ class SweepExecutor:
         ran: dict[str, dict] = {}
         failed: dict[str, FailedOutcome] = {}
         if self._store is not None and items:
-            # The shared store is a third cache level: results another
+            # The shared store is the second cache level: results another
             # executor (or a previous sharded sweep) already published
             # count as hits, not executions.
             served = self._store.get_many(key for key, _ in items)
             if served:
                 self.stats.hits += len(served)
-                self._dirty = True
                 self._insert(dict(served))
                 ran.update(served)
                 items = [(k, j) for k, j in items if k not in served]
@@ -441,7 +387,7 @@ class SweepExecutor:
             ran.update(scheduled_ran)
 
         if failed and self.retry is not None and self.retry.strict:
-            self.flush()  # persist the work that did succeed
+            # The work that did succeed is already banked (memo, store).
             raise SweepFailureError(list(failed.values()))
         return ran, failed
 
@@ -451,24 +397,13 @@ class SweepExecutor:
         payloads: list[dict],
         ran: dict[str, dict] | None = None,
     ) -> None:
-        """Bank one completed chunk: memoize, account, maybe auto-flush."""
+        """Bank one completed chunk: memoize and publish to the store."""
         chunk_map = {key: payload for (key, _), payload in zip(chunk, payloads)}
         if ran is not None:
             ran.update(chunk_map)
-        self._dirty = True
         self._insert(chunk_map)
         if self._store is not None and self._publish_to_store:
             self._store.put_many(chunk_map)
-        self._chunks_since_flush += 1
-        if (
-            self._cache_path is not None
-            and self.flush_every is not None
-            and self._chunks_since_flush >= self.flush_every
-        ):
-            self.flush()
-            reg = _metrics.active_metrics()
-            if reg is not None:
-                reg.counter(_names.EXECUTOR_AUTOFLUSHES).inc()
 
     def _insert(self, payloads: dict[str, dict]) -> None:
         """Insert fresh payloads with LRU eviction, oldest first,
@@ -483,101 +418,12 @@ class SweepExecutor:
             self._memo.pop(next(iter(self._memo)))
             self.stats.evictions += 1
 
-    # ------------------------------------------------------------------
-    # The on-disk cache: crash-safe load, merge-on-flush
-    # ------------------------------------------------------------------
-    def _read_disk_entries(self) -> dict[str, dict]:
-        """Entries currently on disk; corrupt files quarantine to
-        ``<path>.corrupt`` (with a warning) and read as empty."""
-        path = self._cache_path
-        if path is None or not path.exists():
-            return {}
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            self._quarantine(f"unreadable cache file ({exc})")
-            return {}
-        if not isinstance(data, dict) or data.get("version") != _CACHE_VERSION:
-            version = data.get("version") if isinstance(data, dict) else None
-            self._quarantine(
-                f"cache version {version!r} does not match {_CACHE_VERSION}"
-            )
-            return {}
-        entries = data.get("entries")
-        if not isinstance(entries, dict):
-            self._quarantine("cache entries are not an object")
-            return {}
-        return entries
-
-    def _quarantine(self, reason: str) -> None:
-        """Move a bad cache file aside; the executor starts empty."""
-        path = self._cache_path
-        assert path is not None
-        target = path.with_suffix(path.suffix + ".corrupt")
-        try:
-            path.replace(target)
-            where = f"quarantined to {target}"
-        except OSError as exc:
-            where = f"could not quarantine ({exc})"
-        warnings.warn(
-            f"on-disk outcome cache {path}: {reason}; {where}; "
-            "starting with an empty cache",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        reg = _metrics.active_metrics()
-        if reg is not None:
-            reg.counter(_names.EXECUTOR_CACHE_QUARANTINED).inc()
-
-    def flush(self) -> None:
-        """Write the on-disk cache (no-op without ``cache_path``).
-
-        Merges with the entries already on disk before the atomic
-        replace: entries evicted from the in-process memo (or written
-        by another executor) are never clobbered.  The write lands in
-        a *unique* temp file published via ``os.replace``, so a flusher
-        killed mid-write — or several executors flushing the same path
-        concurrently — can never leave a torn cache file behind.
-        """
-        if self._cache_path is None or not self._dirty:
-            return
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        entries = self._read_disk_entries()
-        entries.update(self._memo)
-        body = json.dumps(
-            {"version": _CACHE_VERSION, "entries": entries},
-            separators=(",", ":"),
-        )
-        fd, tmp = tempfile.mkstemp(
-            prefix=self._cache_path.name,
-            suffix=".tmp",
-            dir=self._cache_path.parent,
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(body)
-            os.replace(tmp, self._cache_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
-        self._chunks_since_flush = 0
-
     def clear(self) -> None:
-        """Drop the in-process cache (the disk file is untouched)."""
+        """Drop the in-process memo (the store is untouched)."""
         self._memo.clear()
 
     def __len__(self) -> int:
         return len(self._memo)
-
-    def __enter__(self) -> "SweepExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.flush()
 
 
 _DEFAULT: SweepExecutor | None = None

@@ -287,7 +287,7 @@ class SimJob:
             f"|{c.priority}/{intra}|{mode}"
         )
         # Policy segments only when non-default, so every pre-arbiter
-        # cache key (and on-disk cache entry) stays byte-identical.
+        # cache key (and result-store entry) stays byte-identical.
         if c.arbiter is not None:
             key += f"|arb:{c.arbiter}"
         if c.regulate:

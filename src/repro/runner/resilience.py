@@ -173,7 +173,8 @@ class SweepFailureError(RuntimeError):
 
     Carries every :class:`FailedOutcome` of the batch as ``failures``.
     Successful chunks of the same batch were already memoized (and
-    flushed, when a cache path is configured) before this was raised.
+    published, when a result store is configured) before this was
+    raised.
     """
 
     def __init__(self, failures: "list[FailedOutcome]") -> None:
@@ -195,7 +196,7 @@ class FailedOutcome:
     the last error and the dispatch count; every numeric accessor
     raises :class:`FailedJobError` so the failure cannot be consumed as
     a result by accident.  Failed outcomes are never memoized or
-    written to the disk cache.
+    written to the result store.
     """
 
     job: SimJob

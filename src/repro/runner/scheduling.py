@@ -8,7 +8,7 @@ spreading chunks over compute.  This module separates them:
 * :class:`ChunkRunner` is the **execution core** — it plans chunks by
   the backend's ``preferred_chunk`` hint, dispatches one chunk through
   the module-level pool worker, banks finished payloads through the
-  executor's memo/disk-cache callback, and owns the full
+  executor's memo/store callback, and owns the full
   retry/bisection state machine from :mod:`repro.runner.resilience`.
 * A :class:`Scheduler` decides *where* chunks go.  Three implementations
   cover the deployment spectrum over the same core:
@@ -54,7 +54,6 @@ __all__ = [
     "PoolScheduler",
     "Scheduler",
     "chunk_size",
-    "preferred_chunk",
 ]
 
 #: One unit of dispatchable work: a chunk of (cache_key, job) pairs.
@@ -111,7 +110,7 @@ class ChunkRunner:
     module-level worker in ``repro.runner.executor``, the inline
     retry/bisection state machine, and the shared failure-accounting
     helpers.  Completed chunks are banked through ``on_chunk`` — the
-    executor's memoize/auto-flush hook — so caching behaviour is
+    executor's memoize/store-publish hook — so caching behaviour is
     identical no matter which scheduler ran the chunk.
     """
 

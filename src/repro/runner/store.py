@@ -1,11 +1,12 @@
 """Content-addressed shared result store: one payload file per job key.
 
-The :class:`~repro.runner.executor.SweepExecutor`'s on-disk JSON cache
-is a single merge-on-flush file — fine for one process, but concurrent
-writers (the :class:`~repro.runner.sharding.ShardScheduler`'s worker
-processes, or several sweeps sharing one cache directory) would race on
-it.  :class:`ResultStore` generalizes that cache into a directory of
-*per-key* files:
+:class:`ResultStore` is the only on-disk level of the
+:class:`~repro.runner.executor.SweepExecutor`: the executor probes it
+after its in-process memo and publishes every finished chunk to it.
+Many writers share one store — the
+:class:`~repro.runner.sharding.ShardScheduler`'s worker processes, a
+``repro-mem serve`` process, several sweeps over one directory — so
+it is a directory of *per-key* files:
 
 * **Content addressing** — the file for a canonical job key lives at
   ``root/<hh>/<sha256(key)>.json`` where ``hh`` is the first two hex
@@ -18,7 +19,7 @@ it.  :class:`ResultStore` generalizes that cache into a directory of
   at most a stray ``*.tmp*`` file, never a truncated entry.
 * **Quarantine on corruption** — an unreadable or version-mismatched
   payload file is moved aside to ``<file>.corrupt`` and reads as a
-  miss, mirroring the executor's whole-file cache semantics.
+  miss, so the executor simply re-runs that job and rewrites it.
 
 The store holds JSON payloads (:meth:`repro.runner.job.SimOutcome.
 to_payload` dicts — exact ``Fraction`` values survive the round trip)
@@ -54,7 +55,13 @@ class ResultStore:
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"result store {str(self.root)!r} is not a usable "
+                f"directory: {exc.strerror or exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # Layout

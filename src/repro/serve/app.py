@@ -20,8 +20,9 @@ Request flow for the compute endpoints (``/v1/beff``, ``/v1/sweep``):
    :class:`~repro.serve.coalesce.Coalescer` onto one warm shared
    :class:`~repro.runner.executor.SweepExecutor` in a worker thread.
 
-Shutdown is graceful: the listener closes, queued drain batches finish,
-the executor flushes its on-disk cache, and late requests get ``503``.
+Shutdown is graceful: the listener closes, queued drain batches finish
+(their results already published to the result store, if any), and late
+requests get ``503``.
 """
 
 from __future__ import annotations
@@ -465,14 +466,13 @@ class BandwidthService:
         return int(port)
 
     async def aclose(self) -> None:
-        """Graceful shutdown: drain queued work, flush every cache."""
+        """Graceful shutdown: close the listener, drain queued work."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.close()
-        self.executor.flush()
         _metrics.disable_metrics()
 
 
@@ -505,7 +505,6 @@ def run_server(
     port: int = 8080,
     backend: str = "auto",
     store_path: str | None = None,
-    cache_path: str | None = None,
     workers: int = 1,
     max_inflight: int = 64,
     precompute_jobs: list[SimJob] | None = None,
@@ -520,12 +519,7 @@ def run_server(
     table is hot.
     """
     store = ResultStore(store_path) if store_path is not None else None
-    executor = SweepExecutor(
-        backend=backend,
-        workers=workers,
-        cache_path=cache_path,
-        store=store,
-    )
+    executor = SweepExecutor(backend=backend, workers=workers, store=store)
     service = BandwidthService(
         executor=executor, store=store, max_inflight=max_inflight
     )

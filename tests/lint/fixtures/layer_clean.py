@@ -10,8 +10,7 @@ def steady(config, specs):
 
 
 def sweep(jobs) -> list:
-    with SweepExecutor() as ex:
-        return ex.run_many(jobs)
+    return SweepExecutor().run_many(jobs)
 
 
 def population(jobs) -> list:

@@ -118,16 +118,6 @@ class TestExecutorCounters:
         assert hist.count == 1  # one inline chunk
         assert hist.sum == ex.stats.executed
 
-    def test_disk_loaded_counter(self, tmp_path):
-        path = tmp_path / "cache.json"
-        with SweepExecutor(backend="auto", cache_path=path) as ex:
-            ex.run_many(_jobs())
-            entries = len(ex)
-        with capture_metrics() as reg:
-            SweepExecutor(backend="auto", cache_path=path)
-        loaded = reg.get(obs_names.EXECUTOR_DISK_LOADED)
-        assert loaded is not None and loaded.value == entries
-
 
 class TestTierDispatch:
     def test_auto_dispatch_split(self):

@@ -1,4 +1,4 @@
-"""SweepExecutor: dedup, memoization, disk cache, fan-out."""
+"""SweepExecutor: dedup, memoization, result store, fan-out."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.memory.config import FIG2_CONFIG, MemoryConfig
 from repro.runner import (
+    ResultStore,
     SimJob,
     SweepExecutor,
     default_executor,
@@ -63,12 +64,11 @@ class TestDedup:
 
 class TestDiskCache:
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "cache" / "outcomes.json"
-        with SweepExecutor(cache_path=path) as ex:
-            first = ex.run_one(_job())
-        assert path.exists()
+        path = tmp_path / "store"
+        first = SweepExecutor(store_path=path).run_one(_job())
+        assert len(ResultStore(path)) == 1
 
-        warm = SweepExecutor(cache_path=path)
+        warm = SweepExecutor(store_path=path)
         out = warm.run_one(_job())
         assert warm.stats.executed == 0
         assert warm.stats.hits == 1
@@ -78,18 +78,18 @@ class TestDiskCache:
         assert out.backend.startswith("cache:")
 
     def test_version_mismatch_quarantined(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        path.write_text(json.dumps({"version": 0, "entries": {"x": {}}}))
-        with pytest.warns(RuntimeWarning, match="cache version"):
-            ex = SweepExecutor(cache_path=path)
-        assert len(ex) == 0
-        assert not path.exists()
+        # A stale entry is a miss: the job re-runs and is rewritten.
+        store = ResultStore(tmp_path)
+        key = _job().cache_key()
+        SweepExecutor(store=store).run_one(_job())
+        path = store.path_for(key)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 0}))
+        ex = SweepExecutor(store=store)
+        with pytest.warns(RuntimeWarning, match="version-mismatched"):
+            ex.run_one(_job())
+        assert ex.stats.executed == 1
         assert path.with_suffix(".json.corrupt").exists()
-
-    def test_flush_without_path_is_noop(self):
-        ex = SweepExecutor()
-        ex.run_one(_job())
-        ex.flush()  # must not raise
+        assert store.get(key) is not None
 
     def test_eviction_bound(self):
         ex = SweepExecutor(max_memo=3)
@@ -230,28 +230,22 @@ class TestWorkersAndModes:
 
 class TestChunkSize:
     def test_base_split_is_four_chunks_per_worker(self):
-        from repro.runner.executor import _chunk_size
+        from repro.runner.scheduling import chunk_size
 
-        assert _chunk_size(100, 4, 1) == 7  # ceil(100 / 16)
-        assert _chunk_size(3, 4, 1) == 1  # never zero
+        assert chunk_size(100, 4, 1) == 7  # ceil(100 / 16)
+        assert chunk_size(3, 4, 1) == 1  # never zero
 
     def test_preferred_chunk_widens_the_split(self):
-        from repro.runner.executor import _chunk_size
+        from repro.runner.scheduling import chunk_size
 
         # A batching backend asks for big chunks and gets them...
-        assert _chunk_size(100, 4, 4096) == 25  # ceil(100 / 4)
+        assert chunk_size(100, 4, 4096) == 25  # ceil(100 / 4)
         # ...capped at one chunk per worker (all workers stay busy).
-        assert _chunk_size(8192, 4, 4096) == 2048
+        assert chunk_size(8192, 4, 4096) == 2048
         # A huge batch already exceeds the hint: the base split stands.
-        assert _chunk_size(100_000, 4, 4096) == 6250
+        assert chunk_size(100_000, 4, 4096) == 6250
         # A modest hint below the base split changes nothing.
-        assert _chunk_size(100, 4, 2) == 7
-
-    def test_backend_hint_resolution(self):
-        from repro.runner.executor import _preferred_chunk
-
-        assert _preferred_chunk("batch") >= 1024
-        assert _preferred_chunk("reference") == 1
+        assert chunk_size(100, 4, 2) == 7
 
     def test_batch_backend_pooled_sweep_matches_inline(self):
         jobs = jobs_for_offsets(FIG2_CONFIG, 1, 7, range(12))

@@ -1,5 +1,6 @@
 """Fault-tolerant sweep execution: retry, bisection, pool recovery,
-crash-safe caching.  Companion to docs/RUNNER.md "Failure semantics"."""
+the crash-safe result store.  Companion to docs/RUNNER.md "Failure
+semantics"."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.obs import names as obs_names
 from repro.runner import (
     FailedJobError,
     FailedOutcome,
+    ResultStore,
     RetryPolicy,
     SweepExecutor,
     SweepFailureError,
@@ -204,19 +207,17 @@ class TestInlineRecovery:
             fresh.setdefault(job.cache_key(), job)
         poison_key = sorted(fresh)[0]
         _install_backend(monkeypatch, PoisonBackend(poison_key))
-        path = tmp_path / "outcomes.json"
+        path = tmp_path / "store"
         ex = SweepExecutor(
-            backend="poison", cache_path=path,
+            backend="poison", store_path=path,
             retry=RetryPolicy(max_retries=1, backoff_base_ms=0, strict=True),
         )
         with pytest.raises(SweepFailureError) as info:
             ex.run_many(jobs)
         assert len(info.value.failures) == 1
         assert info.value.failures[0].job.cache_key() == poison_key
-        # The healthy work of the batch reached the disk cache.
-        entries = json.loads(path.read_text())["entries"]
-        assert len(entries) == len(fresh) - 1
-        assert poison_key not in entries
+        # The healthy work of the batch reached the store.
+        assert set(ResultStore(path).keys()) == set(fresh) - {poison_key}
 
 
 # ----------------------------------------------------------------------
@@ -276,99 +277,93 @@ class TestPoolRecovery:
 
 
 # ----------------------------------------------------------------------
-# Crash-safe on-disk cache
+# Crash-safe result store (the executor's only on-disk level)
 # ----------------------------------------------------------------------
+def _subprocess_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (env.get("PYTHONPATH"), "src") if p
+    )
+    return env
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+
 class TestCrashSafeCache:
-    def _quarantined(self, path):
-        return path.with_suffix(path.suffix + ".corrupt")
+    def _sweep_over_bad_entry(self, tmp_path, corrupt, match):
+        """Fill a store, corrupt one entry, sweep again: the entry is
+        quarantined and reads as a miss, so only its job re-runs."""
+        jobs = _jobs()
+        store = ResultStore(tmp_path / "store")
+        SweepExecutor(backend="fast", store=store).run_many(jobs)
+        path = store.path_for(jobs[0].cache_key())
+        path.write_text(corrupt(path.read_text()))
+        ex = SweepExecutor(backend="fast", store=store)
+        with pytest.warns(RuntimeWarning, match=match):
+            ex.run_many(jobs)
+        assert ex.stats.executed == 1
+        assert path.with_suffix(".json.corrupt").exists()
+        return store
 
     def test_corrupt_json_quarantined(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        path.write_text("{not json at all")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            ex = SweepExecutor(cache_path=path)
-        assert len(ex) == 0
-        assert not path.exists()
-        assert self._quarantined(path).exists()
+        self._sweep_over_bad_entry(
+            tmp_path, lambda text: "{not json at all", "unreadable"
+        )
 
     def test_truncated_file_quarantined(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        with SweepExecutor(backend="fast", cache_path=path) as ex:
-            ex.run_many(_jobs())
-        path.write_text(path.read_text()[: path.stat().st_size // 2])
-        with pytest.warns(RuntimeWarning):
-            ex = SweepExecutor(cache_path=path)
-        assert len(ex) == 0
-        assert self._quarantined(path).exists()
+        self._sweep_over_bad_entry(
+            tmp_path, lambda text: text[: len(text) // 2], "unreadable"
+        )
 
     def test_non_object_entries_quarantined(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        path.write_text(json.dumps({"version": 1, "entries": [1, 2]}))
-        with pytest.warns(RuntimeWarning, match="entries"):
-            ex = SweepExecutor(cache_path=path)
-        assert len(ex) == 0
-        assert self._quarantined(path).exists()
+        self._sweep_over_bad_entry(
+            tmp_path,
+            lambda text: json.dumps({**json.loads(text), "payload": [1, 2]}),
+            "malformed",
+        )
 
     def test_quarantine_then_rebuild_roundtrips(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        path.write_text("garbage")
-        with pytest.warns(RuntimeWarning):
-            with SweepExecutor(backend="fast", cache_path=path) as ex:
-                ex.run_many(_jobs())
-        warm = SweepExecutor(backend="fast", cache_path=path)
-        warm.run_many(_jobs())
+        store = self._sweep_over_bad_entry(
+            tmp_path, lambda text: "garbage", "unreadable"
+        )
+        warm = SweepExecutor(backend="fast", store=store)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the rewrite is clean
+            warm.run_many(_jobs())
         assert warm.stats.executed == 0
-        assert warm.stats.hits > 0
+        assert warm.stats.hits == len(_jobs())
 
-    def test_flush_preserves_evicted_entries(self, tmp_path):
-        # Regression: flush() used to write the memo alone, deleting
-        # every LRU-evicted entry from disk.
-        path = tmp_path / "outcomes.json"
+    def test_evicted_entries_stay_in_the_store(self, tmp_path):
         jobs = _jobs()
         ex = SweepExecutor(
-            backend="fast", cache_path=path, max_memo=2, flush_every=None
+            backend="fast", store_path=tmp_path / "store", max_memo=2
         )
         first = ex.run_one(jobs[0])
-        ex.flush()
         ex.run_many(jobs[1:])  # evicts jobs[0] from the tiny memo
-        ex.flush()
-        entries = json.loads(path.read_text())["entries"]
-        assert jobs[0].cache_key() in entries
-        warm = SweepExecutor(backend="fast", cache_path=path)
-        out = warm.run_one(jobs[0])
-        assert warm.stats.executed == 0
+        executed = ex.stats.executed
+        with capture_metrics() as reg:
+            out = ex.run_one(jobs[0])
+        assert ex.stats.executed == executed
+        assert reg.counter(obs_names.STORE_HITS).value == 1
         assert out.bandwidth == first.bandwidth
 
-    def test_flush_merges_sibling_executor_work(self, tmp_path):
-        path = tmp_path / "outcomes.json"
+    def test_sibling_executors_share_one_store(self, tmp_path):
         jobs = _jobs()
-        a = SweepExecutor(backend="fast", cache_path=path, flush_every=None)
-        b = SweepExecutor(backend="fast", cache_path=path, flush_every=None)
+        a = SweepExecutor(backend="fast", store_path=tmp_path / "store")
+        b = SweepExecutor(backend="fast", store_path=tmp_path / "store")
         a.run_one(jobs[0])
         b.run_one(jobs[5])
-        a.flush()
-        b.flush()  # must union with a's entry, not clobber it
-        warm = SweepExecutor(backend="fast", cache_path=path)
-        warm.run_many([jobs[0], jobs[5]])
-        assert warm.stats.executed == 0
-
-    def test_auto_flush_is_on_by_default(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        ex = SweepExecutor(backend="fast", cache_path=path)
-        ex.run_many(_jobs())
-        # No flush()/context exit — the chunk auto-flushed on completion.
-        entries = json.loads(path.read_text())["entries"]
-        assert len(entries) == len(ex)
-
-    def test_flush_every_validation(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(flush_every=0)
+        a.run_one(jobs[5])  # b's result
+        b.run_one(jobs[0])  # a's result
+        assert a.stats.executed == b.stats.executed == 1
+        assert a.stats.hits == b.stats.hits == 1
 
     def test_kill_mid_sweep_loses_at_most_one_chunk(self, tmp_path):
-        # A subprocess sweeps batch 1 (auto-flushed chunk by chunk),
-        # then dies hard mid-batch-2 with no chance to flush or exit
-        # cleanly.  The cache must come back loadable with batch 1.
-        cache = tmp_path / "outcomes.json"
+        # A subprocess sweeps batch 1 (published to the store chunk by
+        # chunk), then dies hard mid-batch-2 with no chance to clean
+        # up.  The store must come back readable with batch 1.
+        store = tmp_path / "store"
         script = textwrap.dedent(
             f"""
             import os
@@ -386,74 +381,59 @@ class TestCrashSafeCache:
                     return super().run_batch(jobs)
 
             backends._INSTANCES["dying"] = DyingBackend()
-            ex = SweepExecutor(backend="dying", cache_path={str(cache)!r})
+            ex = SweepExecutor(backend="dying", store_path={str(store)!r})
             ex.run_many(jobs_for_offsets(cfg, 1, 7, range(12)))
             ex.run_many(jobs_for_offsets(cfg, 1, 11, range(12)))
             os._exit(7)  # unreachable: the batch above dies
             """
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), "src") if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-            env=env,
-            timeout=120,
+            cwd=_REPO, env=_subprocess_env(), timeout=120,
         )
         assert proc.returncode == 9
-        warm = SweepExecutor(backend="fast", cache_path=cache)
+        warm = SweepExecutor(backend="fast", store_path=store)
         warm.run_many(jobs_for_offsets(CFG, 1, 7, range(12)))
         assert warm.stats.executed == 0  # batch 1 fully recovered
         assert warm.stats.hits == 12
 
-    def test_flusher_killed_mid_write_never_tears_the_cache(
-        self, tmp_path
-    ):
-        # A subprocess flushes the same cache file in a tight loop and
-        # is SIGKILLed while doing so.  Because each flush writes a
-        # *unique* temp file published via os.replace, the kill can
-        # land anywhere — mid-temp-write included — and the cache file
-        # must stay a complete, loadable snapshot, and the stray temp
-        # must never collide with a later flusher.
+    def test_killed_writer_never_tears_the_store(self, tmp_path):
+        # A subprocess rewrites every entry of a store in a tight
+        # put_many loop and is SIGKILLed while doing so.  Each write is
+        # a *unique* temp file published via os.replace, so the kill
+        # can land anywhere — mid-temp-write included — and every entry
+        # must stay complete: no quarantine, and a stray temp file is
+        # invisible to readers.
         import signal
         import time
 
-        cache = tmp_path / "outcomes.json"
+        store = tmp_path / "store"
         script = textwrap.dedent(
             f"""
-            import sys
             from repro.memory.config import MemoryConfig
-            from repro.runner import SweepExecutor, jobs_for_offsets
+            from repro.runner import ResultStore, SweepExecutor, jobs_for_offsets
 
             cfg = MemoryConfig(banks=12, bank_cycle=3)
-            ex = SweepExecutor(
-                backend="fast", cache_path={str(cache)!r},
-                flush_every=None,
-            )
+            ex = SweepExecutor(backend="fast", store_path={str(store)!r})
             for d1, d2 in [(1, 7), (2, 6), (3, 4), (1, 11)]:
                 ex.run_many(jobs_for_offsets(cfg, d1, d2, range(12)))
-            while True:  # flush forever until killed
-                ex._dirty = True
-                ex.flush()
-                print("F", flush=True)
+            store = ResultStore({str(store)!r})
+            payloads = dict(store.items())
+            print(len(payloads), flush=True)
+            while True:  # rewrite forever until killed
+                store.put_many(payloads)
+                print("W", flush=True)
             """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), "src") if p
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", script],
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-            env=env,
-            stdout=subprocess.PIPE,
+            cwd=_REPO, env=_subprocess_env(), stdout=subprocess.PIPE,
         )
         try:
             assert proc.stdout is not None
-            proc.stdout.read(8)  # several flushes have happened
-            time.sleep(0.05)  # land somewhere inside a later flush
+            written = int(proc.stdout.readline())
+            proc.stdout.read(8)  # several rewrites have happened
+            time.sleep(0.05)  # land somewhere inside a later one
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=60)
         finally:
@@ -461,19 +441,19 @@ class TestCrashSafeCache:
                 proc.kill()
         assert proc.returncode == -signal.SIGKILL
 
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")  # any quarantine fails
-            warm = SweepExecutor(backend="fast", cache_path=cache)
-        assert len(warm) > 0
-        warm.run_many(jobs_for_offsets(CFG, 1, 7, range(12)))
-        assert warm.stats.executed == 0  # every batch survived the kill
-        # A later flusher is unaffected by any stray unique temp file.
-        warm.run_many(jobs_for_offsets(CFG, 2, 10, range(6)))
-        warm.flush()
-        entries = json.loads(cache.read_text())["entries"]
-        assert len(entries) == len(warm)
+        result_store = ResultStore(store)
+        some_entry = next(iter(result_store.root.glob("??/*.json")))
+        # What a kill mid-temp-write leaves behind, whether or not this
+        # kill did.
+        (some_entry.parent / f"{some_entry.name}torn.tmp").write_text("{")
+        assert len(result_store) == written  # items() skips the temp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any quarantine fails
+            warm = SweepExecutor(backend="fast", store=result_store)
+            warm.run_many(jobs_for_offsets(CFG, 1, 7, range(12)))
+            warm.run_many(jobs_for_offsets(CFG, 1, 11, range(12)))
+        assert warm.stats.executed == 0  # every entry survived the kill
+        assert not list(result_store.root.rglob("*.corrupt"))
 
 
 # ----------------------------------------------------------------------
@@ -520,15 +500,6 @@ class TestFailureMetrics:
         recovered = reg.get(obs_names.EXECUTOR_RECOVERED)
         assert recovered is not None
         assert recovered.value == ex.stats.recovered
-
-    def test_quarantine_counter(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        path.write_text("garbage")
-        with capture_metrics() as reg:
-            with pytest.warns(RuntimeWarning):
-                SweepExecutor(cache_path=path)
-        quarantined = reg.get(obs_names.EXECUTOR_CACHE_QUARANTINED)
-        assert quarantined is not None and quarantined.value == 1
 
     def test_failure_counter(self, monkeypatch):
         job = _jobs()[0]

@@ -23,7 +23,7 @@ from repro.runner import (
     jobs_for_offsets,
 )
 from repro.runner.executor import ExecutorStats
-from repro.runner.scheduling import _ChunkTask, chunk_size
+from repro.runner.scheduling import _ChunkTask, chunk_size, preferred_chunk
 
 CFG = MemoryConfig(banks=12, bank_cycle=3)
 
@@ -50,12 +50,16 @@ class TestChunkSizeBoundaries:
     @pytest.mark.parametrize(
         "n_items,workers,preferred,expected",
         [
-            # legacy grid (unchanged by the fix)
+            # base split: ceil of four chunks per worker, never zero
             (100, 4, 1, 7),
             (3, 4, 1, 1),
+            # a batching backend's hint widens the split...
             (100, 4, 4096, 25),
+            # ...capped at one chunk per worker (all workers stay busy)
             (8192, 4, 4096, 2048),
+            # a huge batch already exceeds the hint: the base split stands
             (100_000, 4, 4096, 6250),
+            # a modest hint below the base split changes nothing
             (100, 4, 2, 7),
             # n_items < workers: one job per chunk, never idle workers
             (3, 4, 4096, 1),
@@ -98,6 +102,10 @@ class TestPlan:
         chunks = _runner().plan(items, 4)
         assert len(chunks) > 1
         assert [pair for chunk in chunks for pair in chunk] == items
+
+    def test_backend_hint_resolution(self):
+        assert preferred_chunk("batch") >= 1024
+        assert preferred_chunk("reference") == 1
 
     def test_preferred_chunk_caps_by_worker_count(self):
         # fast advertises preferred_chunk=32; 12 items over 4 workers

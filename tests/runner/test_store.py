@@ -62,6 +62,12 @@ class TestRoundTrip:
         store.put("k", {"v": 2})
         assert store.get("k") == {"v": 2}
 
+    def test_root_under_a_file_is_a_value_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ValueError, match="not a usable directory"):
+            ResultStore(blocker / "store")
+
 
 class TestLayout:
     def test_content_addressing(self, tmp_path):
@@ -103,6 +109,16 @@ class TestQuarantine:
         path.write_text(json.dumps({"version": 99, "key": "k", "payload": {}}))
         with pytest.warns(RuntimeWarning, match="version-mismatched"):
             assert store.get("k") is None
+
+    def test_non_object_payload_quarantines(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k", {"v": 1})
+        path = store.path_for("k")
+        path.write_text(json.dumps({"version": 1, "key": "k", "payload": [1]}))
+        assert list(store.items()) == []  # the preload path skips it
+        with pytest.warns(RuntimeWarning, match="malformed"):
+            assert store.get("k") is None
+        assert path.with_suffix(path.suffix + ".corrupt").exists()
 
     def test_clean_store_never_warns(self, tmp_path):
         store = ResultStore(tmp_path)

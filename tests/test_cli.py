@@ -286,6 +286,24 @@ class TestResilienceFlags:
         assert "error:" in capsys.readouterr().err
 
 
+class TestStoreFlag:
+    @pytest.mark.parametrize("argv", [
+        ["census", "-m", "8", "-c", "2", "--observed"],
+        ["profile", "-m", "8", "-c", "2", "1", "3"],
+        ["serve", "--port", "0"],
+    ])
+    def test_unusable_store_dir_exits_2_without_traceback(
+        self, argv, tmp_path, capsys
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main([*argv, "--store", str(blocker / "store")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestDuel:
     def test_output(self, capsys):
         rc = main(["duel", "1", "3", "--n", "128"])
