@@ -1,10 +1,9 @@
-"""Extension — parallel efficiency of the sweep schedulers.
+"""Extension — parallel efficiency of the process-pool scheduler.
 
 Times the same census-shaped population through ``SweepExecutor`` at
-1/2/4/8 workers (``$REPRO_BENCH_WORKERS`` overrides the ladder) on the
-scheduler named by ``$REPRO_BENCH_SCHEDULER`` (``pool``, the default,
-or ``shard``), asserting every run bit-identical to the single-worker
-reference.  Per-run wall clocks land in the bench JSON artifact via
+1/2/4/8 workers (``$REPRO_BENCH_WORKERS`` overrides the ladder),
+asserting every run bit-identical to the single-worker reference.
+Per-run wall clocks land in the bench JSON artifact via
 ``$REPRO_BENCH_TIMINGS`` (see ``conftest.py``); the summary test prints
 the speedup/efficiency table.
 
@@ -42,7 +41,6 @@ def _worker_ladder() -> list[int]:
     return ladder
 
 
-SCHEDULER = os.environ.get("REPRO_BENCH_SCHEDULER", "pool")
 WORKERS = _worker_ladder()
 
 #: worker count -> sweep wall-clock seconds, filled by the timing runs.
@@ -66,18 +64,12 @@ def _population() -> list[SimJob]:
     ]
 
 
-def _placement(workers: int) -> dict:
-    if SCHEDULER == "shard":
-        return {"shards": workers} if workers > 1 else {}
-    return {"workers": workers}
-
-
 @pytest.mark.parametrize("workers", WORKERS)
 def test_parallel_census(benchmark, workers):
     population = _population()
 
     def _sweep():
-        ex = SweepExecutor(backend="fast", **_placement(workers))
+        ex = SweepExecutor(backend="fast", workers=workers)
         start = time.perf_counter()
         outs = ex.run_many(population)
         ELAPSED[workers] = time.perf_counter() - start
@@ -96,11 +88,10 @@ def test_parallel_census(benchmark, workers):
     total = sum((o.bandwidth for o in outs), Fraction(0))
     print_header(
         f"Parallel census: {len(population)} jobs "
-        f"({ex.stats.executed} unique) on scheduler={SCHEDULER!r} "
-        f"workers={workers}: {ELAPSED[workers]:.3f}s"
+        f"({ex.stats.executed} unique) at workers={workers}: "
+        f"{ELAPSED[workers]:.3f}s"
     )
     print(f"sum(b_eff) = {total}")
-    benchmark.extra_info["scheduler"] = SCHEDULER
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["unique_jobs"] = ex.stats.executed
 
@@ -108,10 +99,7 @@ def test_parallel_census(benchmark, workers):
 def test_parallel_efficiency_summary():
     assert set(ELAPSED) == set(WORKERS), "timing runs must precede summary"
     base = ELAPSED[1]
-    print_header(
-        f"Parallel efficiency (scheduler={SCHEDULER!r}, "
-        f"{os.cpu_count()} cores)"
-    )
+    print_header(f"Parallel efficiency ({os.cpu_count()} cores)")
     print(f"{'workers':>8} {'seconds':>9} {'speedup':>8} {'efficiency':>11}")
     for workers in WORKERS:
         speedup = base / ELAPSED[workers]

@@ -106,14 +106,10 @@ def _add_runner_args(
                        metavar="N", dest="jobs",
                        help="worker processes for the sweep (default 1; "
                             "--workers is an alias)")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="hash-partition the sweep over N shard workers "
-                            "exchanging results through a shared store "
-                            "(docs/RUNNER.md, Scheduling)")
         p.add_argument("--store", default=None, metavar="DIR",
                        help="content-addressed shared result-store "
                             "directory: probed before execution, populated "
-                            "by every scheduler, reusable across sweeps")
+                            "chunk by chunk, reusable across sweeps")
     p.add_argument("--retries", type=int, default=None, metavar="N",
                    help="enable fault-tolerant execution: retry each "
                         "failing chunk up to N times, then bisect to "
@@ -164,14 +160,11 @@ def _retry_policy(args: argparse.Namespace) -> "RetryPolicy | None":
 
 def _executor_kwargs(args: argparse.Namespace) -> dict:
     """SweepExecutor construction kwargs from the runner CLI switches
-    (worker count, retry policy, shard/store placement)."""
+    (worker count, retry policy, result store)."""
     kwargs: dict = {
         "workers": getattr(args, "jobs", 1),
         "retry": _retry_policy(args),
     }
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        kwargs["shards"] = shards
     store = getattr(args, "store", None)
     if store is not None:
         kwargs["store_path"] = store

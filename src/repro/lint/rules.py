@@ -28,7 +28,7 @@ Each rule guards one invariant of the reproduction (see DESIGN.md §7):
     Every simulation rides ``run(job, backend=...)`` so backends stay
     interchangeable and sweeps stay cacheable: the engine primitives
     (``Engine``, ``Port``, ``simulate_streams``) may only be invoked
-    from ``repro.runner.backends`` and the blessed legacy shims.
+    from ``repro.runner.backends`` and the engine cores themselves.
 ``FROZEN001``
     ``SimJob``/``SimOutcome`` are frozen: cache keys and memoized
     outcomes assume value semantics, so ``object.__setattr__`` mutation
@@ -502,27 +502,23 @@ class RunnerLayerRule(Rule):
     name = "runner-layer-discipline"
     description = (
         "Engine primitives (Engine, Port, simulate_streams) may only be "
-        "invoked from repro.runner.backends and the blessed legacy "
-        "shims; everything else rides run(job, backend=...) and the "
+        "invoked from repro.runner.backends and the engine cores; "
+        "everything else rides run(job, backend=...) and the "
         "SweepExecutor."
     )
 
     #: Modules allowed to touch the engine directly: the backend layer
-    #: itself, the engine internals, and the byte-compatible legacy
-    #: shims (kept for PriorityRule *instances*, which cannot ride in a
-    #: hashable SimJob).  ``repro.runner.fastsim`` is the flat-array
-    #: core the fast backend runs on — an engine primitive in its own
-    #: right, blessed for the same reason ``repro.sim.engine`` is —
-    #: and ``repro.runner.batchsim`` is its structure-of-arrays twin.
+    #: itself and the engine internals.  ``repro.runner.fastsim`` is
+    #: the flat-array core the fast backend runs on — an engine
+    #: primitive in its own right, blessed for the same reason
+    #: ``repro.sim.engine`` is — and ``repro.runner.batchsim`` is its
+    #: structure-of-arrays twin.
     BLESSED = frozenset({
         "repro.runner.backends",
         "repro.runner.fastsim",
         "repro.runner.batchsim",
         "repro.sim.engine",
         "repro.sim.port",
-        "repro.sim.pairs",
-        "repro.sim.multi",
-        "repro.sim.statespace",
     })
 
     #: Call origins that bypass the runner layer (matched by suffix so

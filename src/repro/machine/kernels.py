@@ -10,7 +10,7 @@ same X-MP model:
 * ``sum``     — ``s = s + A(I)``                   (1 load)
 * ``daxpy``   — ``Y(I) = Y(I) + a * X(I)``         (2 loads, 1 store)
 * ``triad``   — ``A(I) = B(I) + C(I)*D(I)``        (3 loads, 1 store;
-  re-exported from :mod:`repro.machine.workloads`)
+  :func:`repro.machine.workloads.triad_program`)
 * ``matrix_sweep`` — strided walk over a column / row / diagonal of a
   2-D column-major array (eq. 33 distances).
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from ..core.fortran import ArraySpec
 from ..memory.layout import CommonBlock
 from .instructions import VECTOR_LENGTH, PortKind, VectorInstruction
-from .workloads import triad_program
 
 __all__ = [
     "copy_program",
@@ -31,10 +30,6 @@ __all__ = [
     "sum_program",
     "daxpy_program",
     "matrix_sweep_program",
-    # triad_program moved to repro.machine.workloads; the re-export here
-    # keeps old imports working.
-    # reprolint: disable-next=DEAD001 -- legacy alias
-    "triad_program",
 ]
 
 

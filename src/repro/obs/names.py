@@ -92,7 +92,6 @@ SERVE_BATCHES = "serve.coalesce.batches"
 SERVE_LOOKUP = "serve.lookup.probes"
 
 SCHED_CHUNKS = "runner.scheduler.chunks"
-SCHED_SHARD_JOBS = "runner.scheduler.shard_jobs"
 SCHED_STEALS = "runner.scheduler.steals"
 
 STORE_HITS = "runner.store.hits"
@@ -208,8 +207,7 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         EXECUTOR_POOL_REBUILDS, "counter", (),
-        "repro.runner.scheduling.PoolScheduler / "
-        "repro.runner.sharding.ShardScheduler",
+        "repro.runner.scheduling.PoolScheduler",
         "Broken or timed-out process pools torn down and rebuilt "
         "mid-batch.",
     ),
@@ -265,21 +263,14 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     MetricSpec(
         SCHED_CHUNKS, "counter", ("scheduler",),
         "repro.runner.scheduling.ChunkRunner.observe_chunk",
-        "Chunks dispatched by each scheduler (inline / pool / shard), "
-        "stolen splits included.",
-    ),
-    MetricSpec(
-        SCHED_SHARD_JOBS, "histogram", (),
-        "repro.runner.sharding.ShardScheduler.execute",
-        "Jobs hashed onto each shard's queue by the stable job-key "
-        "partition (one observation per shard per batch).",
+        "Chunks dispatched by each scheduler (inline / pool), stolen "
+        "splits included.",
     ),
     MetricSpec(
         SCHED_STEALS, "counter", ("scheduler",),
-        "repro.runner.scheduling.PoolScheduler / "
-        "repro.runner.sharding.ShardScheduler",
-        "Straggler chunks split (pool) or re-queued (shard) onto idle "
-        "workers by the work-stealing scheduler.",
+        "repro.runner.scheduling.PoolScheduler",
+        "Straggler chunks split onto idle workers by the pool's work "
+        "stealing.",
     ),
     MetricSpec(
         STORE_HITS, "counter", (),
@@ -376,7 +367,6 @@ SPAN_CLI = "cli.command"
 SPAN_EXECUTOR_RUN_MANY = "executor.run_many"
 SPAN_EXECUTOR_POOL = "executor.pool"
 SPAN_EXECUTOR_RECOVERY = "executor.recovery"
-SPAN_EXECUTOR_SHARD = "executor.shard"
 SPAN_EXECUTOR_STEAL = "executor.steal"
 SPAN_AUTO_RUN_BATCH = "backend.auto.run_batch"
 SPAN_ENGINE_STEADY_DETECT = "engine.steady_detect"
@@ -418,17 +408,10 @@ SPAN_CONTRACT: tuple[SpanSpec, ...] = (
         "One executor batch: dedup, cache lookups, execution.",
     ),
     SpanSpec(
-        SPAN_EXECUTOR_SHARD, ("chunks", "shards"),
-        "repro.runner.sharding.ShardScheduler.execute",
-        "One sharded fan-out: hash-partitioned queues drained by one "
-        "worker process per shard over the shared result store.",
-    ),
-    SpanSpec(
         SPAN_EXECUTOR_STEAL, ("jobs", "scheduler"),
-        "repro.runner.scheduling.PoolScheduler / "
-        "repro.runner.sharding.ShardScheduler",
-        "One work-stealing event: a queued straggler chunk split "
-        "(pool) or migrated to an idle shard (shard).",
+        "repro.runner.scheduling.PoolScheduler",
+        "One work-stealing event: a queued straggler chunk split in "
+        "half over idle pool workers.",
     ),
     SpanSpec(
         SPAN_SERVE_DRAIN, ("jobs",),

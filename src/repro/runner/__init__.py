@@ -22,16 +22,15 @@ Every simulation in the repository flows through three layers:
 ``executor``
     :class:`SweepExecutor` — deduplicates isomorphic jobs, memoizes
     outcomes in an LRU in-process cache in front of an optional
-    :class:`ResultStore` (its only on-disk level), and hands placement
-    to a scheduler.
-``scheduling`` / ``sharding`` / ``store``
-    The scheduler split: :class:`ChunkRunner` is the execution core;
-    :class:`InlineScheduler`, :class:`PoolScheduler` (shared work queue
-    with straggler-splitting work stealing) and :class:`ShardScheduler`
-    (hash-partitioned workers exchanging results through a
-    content-addressed :class:`ResultStore`) place its chunks.  All
-    schedulers return bit-identical outcomes (see docs/RUNNER.md
-    "Scheduling").
+    :class:`ResultStore` (its only on-disk level), and runs the rest
+    inline or, with ``workers > 1``, over a process pool.
+``scheduling`` / ``store``
+    :class:`ChunkRunner` is the execution core; :class:`InlineScheduler`
+    and :class:`PoolScheduler` (shared work queue with
+    straggler-splitting work stealing) place its chunks, with
+    bit-identical outcomes (see docs/RUNNER.md "Scheduling").
+    :class:`ResultStore` is the content-addressed directory of per-key
+    result files every finished chunk is published to.
 ``resilience``
     :class:`RetryPolicy` — fault-tolerant sweep execution: bounded
     retries on a deterministic backoff schedule, pool rebuilds on
@@ -73,13 +72,7 @@ from .regime import (
     is_conflict_free,
     observe_pair_regime,
 )
-from .scheduling import (
-    ChunkRunner,
-    InlineScheduler,
-    PoolScheduler,
-    Scheduler,
-)
-from .sharding import ShardScheduler, shard_of
+from .scheduling import ChunkRunner, InlineScheduler, PoolScheduler
 from .store import ResultStore
 
 __all__ = [
@@ -98,8 +91,6 @@ __all__ = [
     "ReferenceBackend",
     "ResultStore",
     "RetryPolicy",
-    "Scheduler",
-    "ShardScheduler",
     "SimBackend",
     "SimJob",
     "SimOutcome",
@@ -114,6 +105,5 @@ __all__ = [
     "observe_pair_regime",
     "resolve_backend",
     "run",
-    "shard_of",
     "solve",
 ]

@@ -15,14 +15,13 @@ gives them one shared engine room:
   chunk is published to it as it completes (one atomic file per key,
   corrupt entries quarantined), so a killed process loses at most its
   in-flight chunk, and concurrent sweeps share one directory;
-* **scheduling** — *what runs where* is delegated to a
-  :class:`~repro.runner.scheduling.Scheduler` over the
-  :class:`~repro.runner.scheduling.ChunkRunner` execution core:
-  ``inline`` (in-process), ``pool`` (local process fan-out with a
-  shared work queue and straggler-splitting work stealing) or
-  ``shard`` (hash-partitioned workers over a content-addressed
-  :class:`~repro.runner.store.ResultStore`); see docs/RUNNER.md
-  "Scheduling";
+* **scheduling** — ``workers`` picks where the
+  :class:`~repro.runner.scheduling.ChunkRunner` execution core runs:
+  :class:`~repro.runner.scheduling.InlineScheduler` (in-process) at
+  ``workers=1``, otherwise
+  :class:`~repro.runner.scheduling.PoolScheduler` (local process
+  fan-out with a shared work queue and straggler-splitting work
+  stealing); see docs/RUNNER.md "Scheduling";
 * **fault tolerance** — with a :class:`~repro.runner.resilience.
   RetryPolicy` attached, crashed pools are rebuilt, failed or timed-out
   chunks retried on a deterministic backoff schedule and bisected to
@@ -51,20 +50,11 @@ from .resilience import (
     SweepFailureError,
     chaos_crash_point,
 )
-from .scheduling import (
-    ChunkRunner,
-    InlineScheduler,
-    PoolScheduler,
-    Scheduler,
-)
+from .scheduling import ChunkRunner, InlineScheduler, PoolScheduler
 from .scheduling import _Chunk as _Chunk
-from .sharding import ShardScheduler
 from .store import ResultStore
 
 __all__ = ["ExecutorStats", "SweepExecutor", "default_executor"]
-
-#: Scheduler names accepted by :class:`SweepExecutor`.
-_SCHEDULER_NAMES = ("inline", "pool", "shard")
 
 
 @dataclass
@@ -134,7 +124,9 @@ class SweepExecutor:
         Backend name forwarded to :func:`repro.runner.api.run` (``None``
         keeps the env-var/default resolution).
     workers:
-        Process count for fan-out; ``1`` (default) runs inline.
+        Process count for fan-out; ``1`` (default) runs inline, more
+        fan chunks out over a local process pool.  Both placements
+        return bit-identical outcomes.
     max_memo:
         Bound on the in-process cache; least-recently-used entries are
         evicted first (a hit refreshes recency).  Eviction never
@@ -145,23 +137,14 @@ class SweepExecutor:
         isolation, inline degradation).  ``None`` (default) keeps the
         historical fail-fast behaviour: the first backend/pool error
         propagates.
-    scheduler:
-        Placement policy: ``"inline"``, ``"pool"``, ``"shard"``, a
-        :class:`~repro.runner.scheduling.Scheduler` instance, or
-        ``None`` (default) to pick automatically — ``shard`` when
-        ``shards`` is set, ``pool`` when ``workers > 1``, ``inline``
-        otherwise.  All schedulers return bit-identical outcomes.
-    shards:
-        Hash-partition the job space over this many shard workers
-        (implies the ``shard`` scheduler when ``scheduler`` is None).
     store_path:
         Directory for a shared content-addressed
         :class:`~repro.runner.store.ResultStore`, the executor's only
         on-disk level.  Probed after the memo and before execution
         (store hits are cache hits, not executions) and written chunk
-        by chunk by every scheduler, so a killed sweep keeps its
-        finished chunks and concurrent sweeps — and the shard workers
-        themselves — exchange results through it.
+        by chunk as chunks finish, so a killed sweep keeps its
+        finished chunks and concurrent sweeps exchange results
+        through it.
     store:
         An already-constructed :class:`~repro.runner.store.ResultStore`
         to share verbatim — the :mod:`repro.serve` service hands its
@@ -177,8 +160,6 @@ class SweepExecutor:
         workers: int = 1,
         max_memo: int = 200_000,
         retry: RetryPolicy | None = None,
-        scheduler: str | Scheduler | None = None,
-        shards: int | None = None,
         store_path: str | os.PathLike[str] | None = None,
         store: ResultStore | None = None,
     ) -> None:
@@ -186,19 +167,10 @@ class SweepExecutor:
             raise ValueError("worker count must be positive")
         if max_memo < 1:
             raise ValueError("max_memo must be positive")
-        if shards is not None and shards < 1:
-            raise ValueError("shard count must be positive")
-        if isinstance(scheduler, str) and scheduler not in _SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; "
-                f"pick one of {_SCHEDULER_NAMES}"
-            )
         self.backend = backend
         self.workers = workers
         self.max_memo = max_memo
         self.retry = retry
-        self.scheduler = scheduler
-        self.shards = shards
         self.stats = ExecutorStats()
         self._memo: dict[str, dict] = {}
         if store is not None and store_path is not None:
@@ -210,7 +182,6 @@ class SweepExecutor:
             if store_path is not None
             else None
         )
-        self._publish_to_store = False
 
     # ------------------------------------------------------------------
     def run_one(self, job: SimJob, *, backend: str | None = None) -> SimOutcome:
@@ -331,25 +302,12 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution: scheduling delegated, caching and failure policy here
     # ------------------------------------------------------------------
-    def _resolve_scheduler(self) -> Scheduler:
-        """The placement policy for this batch (resolved per call, so
-        mutating ``workers``/``shards`` between batches is honoured)."""
-        sched = self.scheduler
-        if sched is not None and not isinstance(sched, str):
-            return sched
-        if sched is None:
-            if self.shards is not None:
-                sched = "shard"
-            elif self.workers > 1:
-                sched = "pool"
-            else:
-                sched = "inline"
-        if sched == "inline":
-            return InlineScheduler()
-        if sched == "pool":
+    def _resolve_scheduler(self) -> InlineScheduler | PoolScheduler:
+        """The placement for this batch (resolved per call, so mutating
+        ``workers`` between batches is honoured)."""
+        if self.workers > 1:
             return PoolScheduler(self.workers)
-        shards = self.shards if self.shards is not None else self.workers
-        return ShardScheduler(shards, store=self._store)
+        return InlineScheduler()
 
     def _execute(
         self, fresh: dict[str, SimJob], backend: str | None
@@ -360,8 +318,8 @@ class SweepExecutor:
         failed: dict[str, FailedOutcome] = {}
         if self._store is not None and items:
             # The shared store is the second cache level: results another
-            # executor (or a previous sharded sweep) already published
-            # count as hits, not executions.
+            # executor (or a previous sweep) already published count as
+            # hits, not executions.
             served = self._store.get_many(key for key, _ in items)
             if served:
                 self.stats.hits += len(served)
@@ -370,20 +328,15 @@ class SweepExecutor:
                 items = [(k, j) for k, j in items if k not in served]
         self.stats.executed += len(items)
         if items:
-            scheduler = self._resolve_scheduler()
-            # Shard workers publish to the store themselves; any other
-            # scheduler publishes from the banking callback.
-            self._publish_to_store = (
-                self._store is not None
-                and getattr(scheduler, "name", "") != "shard"
-            )
             runner = ChunkRunner(
                 backend=backend,
                 retry=self.retry,
                 stats=self.stats,
                 on_chunk=self._finish_chunk,
             )
-            scheduled_ran, failed = scheduler.execute(items, runner)
+            scheduled_ran, failed = self._resolve_scheduler().execute(
+                items, runner
+            )
             ran.update(scheduled_ran)
 
         if failed and self.retry is not None and self.retry.strict:
@@ -392,17 +345,13 @@ class SweepExecutor:
         return ran, failed
 
     def _finish_chunk(
-        self,
-        chunk: _Chunk,
-        payloads: list[dict],
-        ran: dict[str, dict] | None = None,
+        self, chunk: _Chunk, payloads: list[dict], ran: dict[str, dict]
     ) -> None:
         """Bank one completed chunk: memoize and publish to the store."""
         chunk_map = {key: payload for (key, _), payload in zip(chunk, payloads)}
-        if ran is not None:
-            ran.update(chunk_map)
+        ran.update(chunk_map)
         self._insert(chunk_map)
-        if self._store is not None and self._publish_to_store:
+        if self._store is not None:
             self._store.put_many(chunk_map)
 
     def _insert(self, payloads: dict[str, dict]) -> None:

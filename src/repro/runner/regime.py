@@ -2,10 +2,9 @@
 
 Reading a regime off a steady period is pure arithmetic on the per-port
 grant counts: a stream runs at *full rate* when it collects one grant per
-clock of the period.  This logic used to be copied between
-:mod:`repro.sim.pairs` (``_observe_regime``) and :mod:`repro.sim.multi`
-(``full_rate_streams`` / ``conflict_free``); the runner layer owns the
-single canonical implementation now and both front ends delegate here.
+clock of the period.  The runner layer owns the single canonical
+implementation; :mod:`repro.sim.pairs` and :mod:`repro.sim.multi`
+(``full_rate_streams`` / ``conflict_free``) delegate here.
 """
 
 from __future__ import annotations

@@ -10,25 +10,22 @@ spreading chunks over compute.  This module separates them:
   the module-level pool worker, banks finished payloads through the
   executor's memo/store callback, and owns the full
   retry/bisection state machine from :mod:`repro.runner.resilience`.
-* A :class:`Scheduler` decides *where* chunks go.  Three implementations
-  cover the deployment spectrum over the same core:
+* A scheduler decides *where* chunks go; the executor's ``workers``
+  count picks one of two over the same core:
 
   - :class:`InlineScheduler` — everything in the orchestrating process
-    (the degrade path, and the semantics baseline every other scheduler
-    must reproduce bit-identically);
+    (``workers=1``, the degrade path, and the semantics baseline the
+    pool must reproduce bit-identically);
   - :class:`PoolScheduler` — a local process pool fed from a shared
     work queue, with **work stealing**: when workers go idle and the
     queue runs short, the largest queued chunk is split in half so
-    stragglers drain across the pool;
-  - :class:`~repro.runner.sharding.ShardScheduler` — hash-partitioned
-    multi-process shards over a shared
-    :class:`~repro.runner.store.ResultStore` (see ``sharding.py``).
+    stragglers drain across the pool.
 
-Schedulers return ``(ran, failed)`` payload maps keyed by canonical job
-key; the executor folds them back into input order.  All retry
-accounting (``retries``/``failures``/``recovered`` stats, backoff
-schedule, bisection splits) flows through the shared
-:class:`ChunkRunner` helpers, so every scheduler surfaces identical
+Both return ``(ran, failed)`` payload maps keyed by canonical job key;
+the executor folds them back into input order.  All retry accounting
+(``retries``/``failures``/``recovered`` stats, backoff schedule,
+bisection splits) flows through the shared :class:`ChunkRunner`
+helpers, so both surface identical
 :class:`~repro.runner.resilience.FailedOutcome` values for the same
 failing population.
 """
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs import metrics as _metrics
 from ..obs import names as _names
@@ -52,7 +49,6 @@ __all__ = [
     "ChunkRunner",
     "InlineScheduler",
     "PoolScheduler",
-    "Scheduler",
     "chunk_size",
 ]
 
@@ -130,16 +126,13 @@ class ChunkRunner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def preferred_chunk(self) -> int:
-        return preferred_chunk(self.backend)
-
     def plan(self, items: _Chunk, workers: int) -> list[_Chunk]:
         """Split a batch into dispatchable chunks (one chunk inline)."""
         if not items:
             return []
         if workers <= 1 or len(items) <= 1:
             return [list(items)]
-        size = chunk_size(len(items), workers, self.preferred_chunk())
+        size = chunk_size(len(items), workers, preferred_chunk(self.backend))
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     # ------------------------------------------------------------------
@@ -268,18 +261,6 @@ class ChunkRunner:
                 else:
                     self.complete(task, payloads, ran)
                     break
-
-
-class Scheduler(Protocol):
-    """Placement policy: spread a batch's chunks over compute."""
-
-    name: str
-
-    def execute(
-        self, items: _Chunk, runner: ChunkRunner
-    ) -> tuple[dict[str, dict], dict[str, FailedOutcome]]:
-        """Run every item, returning payloads and isolated failures."""
-        ...
 
 
 class InlineScheduler:

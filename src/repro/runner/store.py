@@ -3,10 +3,8 @@
 :class:`ResultStore` is the only on-disk level of the
 :class:`~repro.runner.executor.SweepExecutor`: the executor probes it
 after its in-process memo and publishes every finished chunk to it.
-Many writers share one store — the
-:class:`~repro.runner.sharding.ShardScheduler`'s worker processes, a
-``repro-mem serve`` process, several sweeps over one directory — so
-it is a directory of *per-key* files:
+Many writers share one store — a ``repro-mem serve`` process, several
+sweeps over one directory — so it is a directory of *per-key* files:
 
 * **Content addressing** — the file for a canonical job key lives at
   ``root/<hh>/<sha256(key)>.json`` where ``hh`` is the first two hex
@@ -24,8 +22,7 @@ it is a directory of *per-key* files:
 The store holds JSON payloads (:meth:`repro.runner.job.SimOutcome.
 to_payload` dicts — exact ``Fraction`` values survive the round trip)
 keyed by :meth:`repro.runner.job.SimJob.cache_key`; it never touches
-job objects, so shard workers can exchange *keys* over the pickle
-channel and stream the heavy results through the filesystem instead.
+job objects.
 """
 
 from __future__ import annotations
@@ -199,7 +196,7 @@ class ResultStore:
             {"version": _STORE_VERSION, "key": key, "payload": dict(payload)},
             separators=(",", ":"),
         )
-        # A unique temp file per writer: concurrent shards publishing
+        # A unique temp file per writer: concurrent sweeps publishing
         # the same key race only on the final rename, which is atomic.
         fd, tmp = tempfile.mkstemp(
             prefix=path.name, suffix=".tmp", dir=path.parent

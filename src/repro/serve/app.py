@@ -20,8 +20,10 @@ Request flow for the compute endpoints (``/v1/beff``, ``/v1/sweep``):
    :class:`~repro.serve.coalesce.Coalescer` onto one warm shared
    :class:`~repro.runner.executor.SweepExecutor` in a worker thread.
 
-Shutdown is graceful: the listener closes, queued drain batches finish
-(their results already published to the result store, if any), and late
+Shutdown is graceful: the listener closes, keep-alive connections
+parked between requests are closed, in-flight requests finish and are
+answered with ``Connection: close``, queued drain batches finish (their
+results already published to the result store, if any), and late
 requests get ``503``.
 """
 
@@ -130,6 +132,10 @@ class BandwidthService:
         self._inflight = 0
         self._draining = False
         self._server: asyncio.AbstractServer | None = None
+        #: connection handler tasks still running
+        self._handlers: set[asyncio.Task[None]] = set()
+        #: writers of connections waiting for their next request line
+        self._parked: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # Dispatch (socket-free core; the unit tests call this directly)
@@ -369,9 +375,17 @@ class BandwidthService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
-            while True:
+            # A draining service never parks a connection: aclose()
+            # closes the parked ones and waits for the rest.
+            while not self._draining:
+                self._parked.add(writer)
                 request_line = await reader.readline()
+                self._parked.discard(writer)
                 if not request_line:
                     break
                 parts = request_line.decode("latin-1").split()
@@ -421,6 +435,7 @@ class BandwidthService:
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            self._parked.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -466,10 +481,18 @@ class BandwidthService:
         return int(port)
 
     async def aclose(self) -> None:
-        """Graceful shutdown: close the listener, drain queued work."""
+        """Graceful shutdown: close the listener and idle connections,
+        let in-flight requests answer, drain queued work."""
         self._draining = True
         if self._server is not None:
             self._server.close()
+            # An idle keep-alive client would otherwise hold its handler
+            # in readline(): wait_closed() waits on it forever (3.12.1+)
+            # or asyncio.run cancels it mid-read (3.11).
+            for writer in list(self._parked):
+                writer.close()
+            if self._handlers:
+                await asyncio.wait(list(self._handlers))
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.close()

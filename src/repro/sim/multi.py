@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core.stream import AccessStream
 from ..memory.config import MemoryConfig
 from ..runner import regime as _regime
-from .engine import SimulationResult, simulate_streams
-from .priority import PriorityRule
+from .engine import SimulationResult
 
 __all__ = ["MultiResult", "simulate_multi", "equal_stride_table"]
 
@@ -47,7 +45,7 @@ def simulate_multi(
     specs: list[tuple[int, int]],
     *,
     cpus: list[int] | None = None,
-    priority: PriorityRule | str = "fixed",
+    priority: str = "fixed",
     max_cycles: int = 2_000_000,
 ) -> MultiResult:
     """Exact steady state for streams given as ``(start_bank, stride)``.
@@ -57,32 +55,6 @@ def simulate_multi(
     """
     if not specs:
         raise ValueError("need at least one stream")
-    if not isinstance(priority, str):
-        # Priority rule instances cannot ride in a hashable job; keep
-        # the legacy direct-engine path for them.
-        streams = [
-            AccessStream(start_bank=b, stride=d, label=str(i + 1))
-            for i, (b, d) in enumerate(specs)
-        ]
-        if cpus is None:
-            cpus = list(range(len(specs)))
-        res = simulate_streams(
-            config,
-            streams,
-            cpus=cpus,
-            priority=priority,
-            steady=True,
-            max_cycles=max_cycles,
-        )
-        assert res.steady_bandwidth is not None
-        assert res.steady_period is not None and res.steady_grants is not None
-        return MultiResult(
-            bandwidth=res.steady_bandwidth,
-            period=res.steady_period,
-            grants=res.steady_grants,
-            result=res,
-        )
-
     from ..runner import SimJob, run
 
     job = SimJob.from_specs(
@@ -104,7 +76,7 @@ def equal_stride_table(
     max_streams: int,
     *,
     staggered: bool = True,
-    priority: PriorityRule | str = "fixed",
+    priority: str = "fixed",
 ) -> dict[int, Fraction]:
     """Steady bandwidth of ``p = 1..max_streams`` distance-``d`` streams.
 

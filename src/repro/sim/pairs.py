@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core.stream import AccessStream
 from ..memory.config import MemoryConfig
 from ..runner.regime import ObservedRegime, observe_pair_regime
-from .engine import SimulationResult, simulate_streams
-from .priority import PriorityRule
+from .engine import SimulationResult
 
 __all__ = [
     "ObservedRegime",
@@ -49,11 +47,6 @@ class PairResult:
         return float(self.bandwidth)
 
 
-def _observe_regime(period: int, grants: tuple[int, ...]) -> ObservedRegime:
-    """Deprecated alias — the shared helper lives in the runner layer."""
-    return observe_pair_regime(period, grants)
-
-
 def simulate_pair(
     config: MemoryConfig,
     d1: int,
@@ -62,7 +55,7 @@ def simulate_pair(
     b1: int = 0,
     b2: int = 0,
     same_cpu: bool = False,
-    priority: PriorityRule | str = "fixed",
+    priority: str = "fixed",
     max_cycles: int = 1_000_000,
     trace: bool = False,
 ) -> PairResult:
@@ -73,32 +66,6 @@ def simulate_pair(
     different CPUs (Theorems 2-7: only bank and simultaneous conflicts).
     """
     cpus = [0, 0] if same_cpu else [0, 1]
-    if not isinstance(priority, str):
-        # Priority rule *instances* cannot ride in a hashable job; keep
-        # the legacy direct-engine path for them.
-        streams = [
-            AccessStream(start_bank=b1, stride=d1, label="1"),
-            AccessStream(start_bank=b2, stride=d2, label="2"),
-        ]
-        res = simulate_streams(
-            config,
-            streams,
-            cpus=cpus,
-            priority=priority,
-            steady=True,
-            trace=trace,
-            max_cycles=max_cycles,
-        )
-        assert res.steady_bandwidth is not None
-        assert res.steady_period is not None and res.steady_grants is not None
-        grants = (res.steady_grants[0], res.steady_grants[1])
-        return PairResult(
-            bandwidth=res.steady_bandwidth,
-            period=res.steady_period,
-            grants=grants,
-            regime=observe_pair_regime(res.steady_period, grants),
-            result=res,
-        )
 
     from ..runner import SimJob, run
 
@@ -128,7 +95,7 @@ def bandwidth_by_offset(
     d2: int,
     *,
     same_cpu: bool = False,
-    priority: PriorityRule | str = "fixed",
+    priority: str = "fixed",
     offsets: list[int] | None = None,
     executor: "object | None" = None,
 ) -> dict[int, Fraction]:
@@ -145,15 +112,6 @@ def bandwidth_by_offset(
     """
     if offsets is None:
         offsets = list(range(config.banks))
-    if not isinstance(priority, str):
-        out: dict[int, Fraction] = {}
-        for off in offsets:
-            pr = simulate_pair(
-                config, d1, d2, b1=0, b2=off % config.banks,
-                same_cpu=same_cpu, priority=priority,
-            )
-            out[off] = pr.bandwidth
-        return out
 
     from ..runner import SweepExecutor, default_executor, jobs_for_offsets
 

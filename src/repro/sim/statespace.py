@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..core.stream import AccessStream
 from ..memory.config import MemoryConfig
-from .engine import Engine
-from .port import Port
-from .priority import PriorityRule
 
 __all__ = ["Trajectory", "trajectory", "start_space_profile", "StartSpaceProfile"]
 
@@ -67,31 +63,12 @@ def trajectory(
     specs: list[tuple[int, int]],
     *,
     cpus: list[int] | None = None,
-    priority: PriorityRule | str = "fixed",
+    priority: str = "fixed",
     max_cycles: int = 1_000_000,
 ) -> Trajectory:
     """Run ``(start_bank, stride)`` streams to their cyclic state."""
     if not specs:
         raise ValueError("need at least one stream")
-    if not isinstance(priority, str):
-        # Legacy direct-engine path for priority rule instances.
-        if cpus is None:
-            cpus = list(range(len(specs)))
-        if len(cpus) != len(specs):
-            raise ValueError("cpus and specs must align")
-        ports = [Port(index=i, cpu=c) for i, c in enumerate(cpus)]
-        engine = Engine(config, ports, priority=priority)
-        for port, (b, d) in zip(ports, specs):
-            port.assign(AccessStream(b % config.banks, d % config.banks))
-        bw, period, grants, start = engine.run_to_steady_state(max_cycles)
-        return Trajectory(
-            transient=start,
-            period=period,
-            bandwidth=bw,
-            grants=grants,
-            states_visited=start + period,
-        )
-
     from ..runner import SimJob, run
 
     job = SimJob.from_specs(

@@ -1,6 +1,7 @@
-"""Scheduler equivalence: inline, pool, and shard execution are
-bit-identical over the same job population — payloads, failure
-surfacing, and stats invariants alike (docs/RUNNER.md "Scheduling")."""
+"""Scheduler equivalence: inline and pool execution, with and without
+a result store, are bit-identical over the same job population —
+payloads, failure surfacing, and stats invariants alike (docs/RUNNER.md
+"Scheduling")."""
 
 from __future__ import annotations
 
@@ -21,12 +22,13 @@ CFG = MemoryConfig(banks=12, bank_cycle=3)
 #: A retry policy that never sleeps (tests should not wait on backoff).
 FAST = RetryPolicy(max_retries=2, backoff_base_ms=0)
 
-#: One SweepExecutor placement configuration per scheduler under test.
+#: SweepExecutor placement kwargs per configuration under test, given
+#: a fresh per-test directory (the store-backed pool publishes there).
 PLACEMENTS = {
-    "inline": {"workers": 1},
-    "pool-2": {"workers": 2},
-    "pool-3": {"workers": 3},
-    "shard-2": {"shards": 2},
+    "inline": lambda tmp: {"workers": 1},
+    "pool-2": lambda tmp: {"workers": 2},
+    "pool-3": lambda tmp: {"workers": 3},
+    "pool-2-store": lambda tmp: {"workers": 2, "store_path": tmp / "store"},
 }
 
 
@@ -72,19 +74,19 @@ class PoisonBackend(FastBackend):
 
 @pytest.mark.parametrize("backend", ["fast", "auto", "batch"])
 @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
-def test_bit_identical_outcomes(backend, placement):
+def test_bit_identical_outcomes(backend, placement, tmp_path):
     jobs = _mixed_jobs()
     baseline = SweepExecutor(backend=backend).run_many(jobs)
-    ex = SweepExecutor(backend=backend, **PLACEMENTS[placement])
+    ex = SweepExecutor(backend=backend, **PLACEMENTS[placement](tmp_path))
     outs = ex.run_many(jobs)
     assert _outcome_fingerprint(outs) == _outcome_fingerprint(baseline)
 
 
 @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
-def test_stats_invariants(placement):
+def test_stats_invariants(placement, tmp_path):
     jobs = _mixed_jobs()
     unique = len({j.cache_key() for j in jobs})
-    ex = SweepExecutor(backend="fast", **PLACEMENTS[placement])
+    ex = SweepExecutor(backend="fast", **PLACEMENTS[placement](tmp_path))
     ex.run_many(jobs)
     s = ex.stats
     assert s.submitted == len(jobs)
@@ -98,7 +100,9 @@ def test_stats_invariants(placement):
 
 
 @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
-def test_failed_outcomes_surface_identically(monkeypatch, placement):
+def test_failed_outcomes_surface_identically(
+    monkeypatch, placement, tmp_path
+):
     jobs = jobs_for_offsets(CFG, 1, 7, range(12))
     poison_keys = sorted({j.cache_key() for j in jobs})[:2]
     _install_backend(monkeypatch, PoisonBackend(poison_keys))
@@ -107,7 +111,7 @@ def test_failed_outcomes_surface_identically(monkeypatch, placement):
     baseline = _outcome_fingerprint(baseline_ex.run_many(jobs))
 
     ex = SweepExecutor(
-        backend="equiv-poison", retry=FAST, **PLACEMENTS[placement]
+        backend="equiv-poison", retry=FAST, **PLACEMENTS[placement](tmp_path)
     )
     outs = ex.run_many(jobs)
     assert _outcome_fingerprint(outs) == baseline

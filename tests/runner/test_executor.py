@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.memory.config import FIG2_CONFIG, MemoryConfig
+from repro.obs import capture_metrics
+from repro.obs import names as obs_names
 from repro.runner import (
     ResultStore,
     SimJob,
@@ -76,6 +78,70 @@ class TestDiskCache:
         assert out.period == first.period
         assert out.grants == first.grants
         assert out.backend.startswith("cache:")
+
+    def test_second_sweep_served_from_store(self, tmp_path):
+        jobs = jobs_for_offsets(CFG, 1, 7, range(12))
+        unique = len({j.cache_key() for j in jobs})
+        for workers in (1, 2):
+            path = tmp_path / f"store-{workers}"
+            first = SweepExecutor(workers=workers, store_path=path).run_many(
+                jobs
+            )
+            assert len(ResultStore(path)) == unique
+
+            warm = SweepExecutor(workers=workers, store_path=path)
+            with capture_metrics() as reg:
+                outs = warm.run_many(jobs)
+            assert warm.stats.executed == 0, workers
+            assert reg.counter(obs_names.STORE_HITS).value == unique
+            assert [o.to_payload() for o in outs] == [
+                o.to_payload() for o in first
+            ]
+            assert all(o.backend.startswith("cache:") for o in outs)
+
+    def test_pool_populates_explicit_store(self, tmp_path):
+        jobs = jobs_for_offsets(CFG, 1, 7, range(12))
+        ex = SweepExecutor(
+            backend="fast", workers=2, store_path=tmp_path / "store"
+        )
+        outs = ex.run_many(jobs)
+        assert len(outs) == len(jobs)
+        # The store holds the raw executed payloads (backend untagged).
+        store = ResultStore(tmp_path / "store")
+        for j in jobs:
+            assert store.get(j.cache_key()) == run(
+                j, backend="fast"
+            ).to_payload()
+
+    def test_pool_scheduler_also_publishes_to_store(self, tmp_path):
+        jobs = jobs_for_offsets(CFG, 1, 7, range(12))
+        ex = SweepExecutor(
+            backend="fast", workers=2, store_path=tmp_path / "store"
+        )
+        ex.run_many(jobs)
+        store = ResultStore(tmp_path / "store")
+        assert set(store.keys()) == {j.cache_key() for j in jobs}
+
+    def test_prepublished_entries_are_hits_under_pool(self, tmp_path):
+        # Results already in the store when the sweep starts (another
+        # process, an earlier killed sweep) are hits, not executions.
+        jobs = jobs_for_offsets(CFG, 1, 7, range(12))
+        published = {
+            j.cache_key(): run(j, backend="fast").to_payload()
+            for j in jobs[:6]
+        }
+        ResultStore(tmp_path / "store").put_many(published)
+        ex = SweepExecutor(
+            backend="fast", workers=2, store_path=tmp_path / "store"
+        )
+        outs = ex.run_many(jobs)
+        unique = {j.cache_key() for j in jobs}
+        assert ex.stats.hits == len(published)
+        assert ex.stats.executed == len(unique) - len(published)
+        clean = SweepExecutor(backend="fast").run_many(jobs)
+        assert [o.to_payload() for o in outs] == [
+            o.to_payload() for o in clean
+        ]
 
     def test_version_mismatch_quarantined(self, tmp_path):
         # A stale entry is a miss: the job re-runs and is rewritten.

@@ -158,4 +158,3 @@ def test_sim_reexports_are_the_same_objects():
     from repro.sim import pairs
 
     assert pairs.ObservedRegime is ObservedRegime
-    assert pairs._observe_regime(6, (6, 1)) is ObservedRegime.BARRIER_ON_2

@@ -238,6 +238,26 @@ class TestPoolRecovery:
         assert ex.stats.retries > 0
         assert ex.stats.recovered > 0
 
+    def test_worker_crash_over_store_recovers_bit_identical(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(CHAOS_ONCE_DIR_ENV, str(tmp_path / "once"))
+        (tmp_path / "once").mkdir()
+        ex = SweepExecutor(
+            backend="fast", workers=2, retry=FAST,
+            store_path=tmp_path / "store",
+        )
+        outs = ex.run_many(_jobs())
+        clean = _clean_outcomes()
+        assert [o.to_payload() for o in outs] == [
+            o.to_payload() for o in clean
+        ]
+        assert ex.stats.failures == 0
+        assert ex.stats.retries > 0
+        # Every unique key reached the store, recovered chunks included.
+        store = ResultStore(tmp_path / "store")
+        assert set(store.keys()) == {j.cache_key() for j in _jobs()}
+
     def test_persistent_crashes_degrade_to_inline(self, monkeypatch):
         monkeypatch.setenv(CHAOS_RATE_ENV, "1.0")
         ex = SweepExecutor(

@@ -1,7 +1,7 @@
 """The scheduler split: chunk planning, work stealing, placement.
 
 Companion to docs/RUNNER.md "Scheduling".  Scheduler *equivalence*
-(bit-identical outcomes across inline/pool/shard) lives in
+(bit-identical outcomes across inline and pool placements) lives in
 tests/property/test_scheduler_equivalence.py.
 """
 
@@ -16,9 +16,7 @@ from repro.obs import capture_metrics, capture_spans
 from repro.obs import names as obs_names
 from repro.runner import (
     ChunkRunner,
-    InlineScheduler,
     PoolScheduler,
-    ShardScheduler,
     SweepExecutor,
     jobs_for_offsets,
 )
@@ -146,65 +144,10 @@ class TestPoolStealing:
         assert [len(t.chunk) for t in queue] == [8, 1]
 
 
-class TestShardStealing:
-    def test_idle_shard_takes_from_backlogged_donor(self):
-        runner = _runner()
-        sched = ShardScheduler(3)
-        queues = [
-            deque(_ChunkTask(_items(2)) for _ in range(3)),
-            deque(),
-            deque(),
-        ]
-        with capture_metrics() as reg:
-            sched._steal(queues, busy={0}, runner=runner)
-        assert [len(q) for q in queues] == [1, 1, 1]
-        steals = reg.counter(obs_names.SCHED_STEALS, scheduler="shard")
-        assert steals.value == 2
-
-    def test_busy_shards_do_not_steal(self):
-        runner = _runner()
-        queues = [deque([_ChunkTask(_items(2))]), deque(), deque()]
-        ShardScheduler(3)._steal(queues, busy={1, 2}, runner=runner)
-        assert [len(q) for q in queues] == [1, 0, 0]
-
-    def test_idle_donor_keeps_its_only_chunk(self):
-        # Shard 0 is idle with one queued chunk: moving it would just
-        # relocate the dispatch, so it stays home.
-        runner = _runner()
-        queues = [deque([_ChunkTask(_items(2))]), deque(), deque()]
-        ShardScheduler(3)._steal(queues, busy=set(), runner=runner)
-        assert [len(q) for q in queues] == [1, 0, 0]
-
-    def test_busy_donor_loses_its_only_chunk(self):
-        runner = _runner()
-        queues = [deque([_ChunkTask(_items(2))]), deque()]
-        ShardScheduler(2)._steal(queues, busy={0}, runner=runner)
-        assert [len(q) for q in queues] == [0, 1]
-
-
 class TestSchedulerSelection:
     def test_default_resolution(self):
         assert SweepExecutor()._resolve_scheduler().name == "inline"
         assert SweepExecutor(workers=3)._resolve_scheduler().name == "pool"
-        ex = SweepExecutor(workers=2, shards=2)
-        assert ex._resolve_scheduler().name == "shard"
-
-    def test_explicit_scheduler_name(self):
-        ex = SweepExecutor(workers=4, scheduler="inline")
-        assert ex._resolve_scheduler().name == "inline"
-        assert SweepExecutor(scheduler="shard")._resolve_scheduler().shards == 1
-
-    def test_scheduler_instance_passes_through(self):
-        sched = InlineScheduler()
-        assert SweepExecutor(scheduler=sched)._resolve_scheduler() is sched
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            SweepExecutor(scheduler="carousel")
-
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="shard count"):
-            SweepExecutor(shards=0)
 
     def test_chunk_counter_labels_scheduler(self):
         ex = SweepExecutor(backend="fast")

@@ -275,6 +275,35 @@ class TestHttpServer:
 
         asyncio.run(main())
 
+    def test_drain_closes_idle_keep_alive_connections(self):
+        async def main():
+            service = _service()
+            await service.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            body = json.dumps(ANALYTIC).encode()
+            writer.write(
+                (
+                    "POST /v1/beff HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n"
+                ).encode()
+                + body
+            )
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200")
+            assert b"Connection: keep-alive" in head
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            await reader.readexactly(length)
+            # The client now sits idle between requests: the drain must
+            # neither wait on it nor leave its socket open.
+            await asyncio.wait_for(service.aclose(), 5)
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+
+        asyncio.run(main())
+
     def test_bad_request_line_closes_with_400(self):
         async def main():
             service = _service()

@@ -19,7 +19,7 @@ executor, best-of ``--repeat``, and writes the wall-clock JSON
 (``BENCH_*.json``).  ``--backend NAME`` pins ``$REPRO_BENCH_BACKEND``
 for the backend-parametrized benches (the census population);
 ``--workers 1,2,4`` also times the parallel census on that worker
-ladder, ``--scheduler pool|shard`` picking its placement policy::
+ladder::
 
     PYTHONPATH=src python tools/bench_compare.py --sweeps --backend batch \
         --json BENCH_after.json
@@ -91,7 +91,6 @@ def _run_sweeps(
     repeat: int,
     backend: str | None = None,
     workers: str | None = None,
-    scheduler: str | None = None,
 ) -> dict:
     """Best-of-``repeat`` wall-clock of the sweep benchmarks.
 
@@ -100,8 +99,7 @@ def _run_sweeps(
     methodology as the committed ``BENCH_*.json`` captures.  A
     ``backend`` pins ``$REPRO_BENCH_BACKEND`` for the
     backend-parametrized benches.  A ``workers`` ladder (CSV, e.g.
-    ``"1,2,4"``) adds the parallel-census bench on that ladder, and
-    ``scheduler`` picks its placement policy (``pool`` / ``shard``).
+    ``"1,2,4"``) adds the parallel-census bench on that ladder.
     """
     import os
     import subprocess
@@ -122,8 +120,6 @@ def _run_sweeps(
                 env["REPRO_BENCH_BACKEND"] = backend
             if workers is not None:
                 env["REPRO_BENCH_WORKERS"] = workers
-            if scheduler is not None:
-                env["REPRO_BENCH_SCHEDULER"] = scheduler
             subprocess.run(
                 [sys.executable, "-m", "pytest", *benches, "-q"],
                 check=True,
@@ -142,8 +138,6 @@ def _run_sweeps(
     }
     if workers is not None:
         report["workers"] = workers
-    if scheduler is not None:
-        report["scheduler"] = scheduler
     return report
 
 
@@ -207,9 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workers", metavar="CSV",
                     help="with --sweeps, also time the parallel census "
                          "on this worker ladder (e.g. 1,2,4)")
-    ap.add_argument("--scheduler", choices=["pool", "shard"],
-                    help="with --sweeps --workers, the scheduler the "
-                         "parallel census runs on (default pool)")
     ap.add_argument("--json", dest="json_path",
                     help="also write the report to this path")
     args = ap.parse_args(argv)
@@ -220,9 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         ok = report["pass"]
     elif args.sweeps:
-        report = _run_sweeps(
-            args.repeat, args.backend, args.workers, args.scheduler
-        )
+        report = _run_sweeps(args.repeat, args.backend, args.workers)
         ok = True  # absolute timings carry no pass/fail by themselves
     else:
         report = {

@@ -11,7 +11,9 @@ checks the contract end to end:
 * malformed bodies come back ``400`` (never ``500``);
 * ``GET /metrics`` exposes a populated per-endpoint latency histogram
   under the documented ``serve.*`` names;
-* ``SIGINT`` drains gracefully (exit code 0, "draining" announced).
+* ``SIGINT`` drains gracefully (exit code 0 within ``--timeout``,
+  "draining" announced, no traceback) while an idle keep-alive client
+  holds its connection open between requests.
 
 A JSON artifact (``--json PATH``, default ``serve-smoke.json``)
 captures the responses and the parsed ``serve.*`` metric samples for
@@ -21,6 +23,7 @@ CI upload.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import re
 import signal
@@ -141,10 +144,31 @@ def main(argv: list[str] | None = None) -> int:
         )
         assert requests_ok >= 2, f"request counter not populated: {requests_ok}"
 
+        # A keep-alive client parked between requests must neither hold
+        # the drain open nor be torn down with a traceback.
+        idle = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        idle.request(
+            "POST", "/v1/beff", body=json.dumps(ANALYTIC_POINT),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = idle.getresponse()
+        assert resp.status == 200, resp.status
+        assert resp.getheader("Connection") == "keep-alive"
+        resp.read()
+
         proc.send_signal(signal.SIGINT)
-        out, _ = proc.communicate(timeout=args.timeout)
+        try:
+            out, _ = proc.communicate(timeout=args.timeout)
+        except subprocess.TimeoutExpired:
+            raise SystemExit(
+                f"server did not drain within {args.timeout}s with an "
+                "idle keep-alive connection open"
+            ) from None
+        finally:
+            idle.close()
         assert proc.returncode == 0, (proc.returncode, out)
         assert "draining" in out, out
+        assert "Traceback" not in out, out
         artifact["shutdown"] = {"returncode": proc.returncode}
     finally:
         if proc.poll() is None:
