@@ -282,21 +282,29 @@ class SweepExecutor:
         ran, failed = self._execute(fresh, backend) if fresh else ({}, {})
 
         out: list[SimOutcome] = []
+        # Each payload is decoded once per key; isomorphic twins get
+        # their own outcome sharing the immutable Fraction and grants.
+        decoded: dict[str, SimOutcome] = {}
         for job, key in zip(jobs, keys):
             if key is None:
                 self.stats.executed += 1
                 out.append(run(job, backend=backend))
-                continue
-            # Explicit membership checks: a falsy-but-present payload
-            # must resolve from its actual source, never fall through.
-            if key in failed:
+            elif key in failed:
                 out.append(cast(SimOutcome, replace(failed[key], job=job)))
-            elif key in ran:
-                out.append(SimOutcome.from_payload(job, ran[key]))
-            elif key in held:
-                out.append(SimOutcome.from_payload(job, held[key]))
+            elif key in decoded:
+                out.append(decoded[key].for_job(job))
             else:
-                out.append(SimOutcome.from_payload(job, self._memo[key]))
+                # Explicit membership checks: a falsy-but-present payload
+                # must resolve from its actual source, never fall through.
+                payload = (
+                    ran[key]
+                    if key in ran
+                    else held[key]
+                    if key in held
+                    else self._memo[key]
+                )
+                decoded[key] = outcome = SimOutcome.from_payload(job, payload)
+                out.append(outcome)
         return out
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ conflict behaviour, so equivalent jobs share one cache entry in the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -227,6 +228,35 @@ class SimJob:
             return regulation_renumbering_safe(self.regulate)
         return True
 
+    def _canonical_parts(
+        self,
+    ) -> tuple[
+        tuple[tuple[int, int], ...], str, str | None, str | None, tuple[str, ...]
+    ]:
+        """Canonical ``(streams, priority, intra_priority, arbiter,
+        regulate)``, computed straight from the fields.
+
+        The one computation behind :meth:`canonical` and
+        :meth:`cache_key`: it builds no intermediate job, so the fields
+        are validated once, when this job was built, and never again.
+        """
+        arbiter, regulate = self.arbiter, self.regulate
+        if arbiter is not None or regulate:
+            from ..sim.arbiter import canonical_arbiter, canonical_regulation
+
+            arbiter = canonical_arbiter(arbiter, len(self.streams))
+            regulate = canonical_regulation(regulate)
+        intra = self.intra_priority
+        return (
+            _canonical_streams(self.banks, self.streams)
+            if self._renumbering_safe()
+            else self.streams,
+            _priority_spelling(self.priority),
+            None if intra is None else _priority_spelling(intra),
+            arbiter,
+            regulate,
+        )
+
     def canonical(self) -> "SimJob":
         """The canonical representative of this job's isomorphism class.
 
@@ -238,66 +268,82 @@ class SimJob:
         symmetry canonicalize to themselves (modulo field normalisation).
 
         The returned job always has ``trace=False`` and the default
-        ``max_cycles`` — neither affects the steady outcome — and
-        ``sections`` resolved to its effective value, so it is a pure
-        cache identity.
+        ``max_cycles`` (neither affects the steady outcome), ``sections``
+        resolved to its effective value and every policy spec in its one
+        spelling, so it is a pure cache identity.  It is the reference
+        form of :meth:`cache_key`, which computes the same identity
+        without building it.
         """
-        m = self.banks
-        arbiter = self.arbiter
-        regulate = self.regulate
-        if arbiter is not None or regulate:
-            from ..sim.arbiter import canonical_arbiter, canonical_regulation
-
-            arbiter = canonical_arbiter(arbiter, len(self.streams))
-            regulate = canonical_regulation(regulate)
-        base = replace(
+        streams, priority, intra, arbiter, regulate = self._canonical_parts()
+        return replace(
             self,
             sections=self.effective_sections,
+            streams=streams,
+            priority=priority,
+            intra_priority=intra,
             arbiter=arbiter,
             regulate=regulate,
             trace=False,
             max_cycles=1_000_000,
         )
-        if not self._renumbering_safe():
-            return base
-        b0, d0 = self.streams[0]
-        # Lexicographic minimisation: stream 1 becomes (0, k·d0), which is
-        # minimal exactly for the units mapping d0 to gcd(m, d0) — so only
-        # that (cached) stabiliser coset needs scanning, not all of U(m).
-        best: tuple[tuple[int, int], ...] | None = None
-        for k in stabilizer_units(m, d0):
-            cand = tuple(
-                (((b - b0) * k) % m, (d * k) % m) for b, d in self.streams
-            )
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return replace(base, streams=best)
 
     def cache_key(self) -> str:
         """Stable string identity of the canonical job (cache key)."""
-        c = self.canonical()
-        mode = "steady" if c.steady else f"cycles={c.cycles}"
-        streams = ",".join(f"{b}:{d}" for b, d in c.streams)
-        cpus = ",".join(str(x) for x in c.cpus)
-        intra = c.intra_priority if c.intra_priority is not None else "~"
+        streams, priority, intra, arbiter, regulate = self._canonical_parts()
+        mode = "steady" if self.steady else f"cycles={self.cycles}"
         key = (
-            f"m{c.banks}c{c.bank_cycle}s{c.effective_sections}"
-            f"@{c.section_mapping}|{streams}|cpu{cpus}"
-            f"|{c.priority}/{intra}|{mode}"
+            f"m{self.banks}c{self.bank_cycle}s{self.effective_sections}"
+            f"@{self.section_mapping}"
+            f"|{','.join([f'{b}:{d}' for b, d in streams])}"
+            f"|cpu{','.join([str(c) for c in self.cpus])}"
+            f"|{priority}/{'~' if intra is None else intra}|{mode}"
         )
         # Policy segments only when non-default, so every pre-arbiter
         # cache key (and result-store entry) stays byte-identical.
-        if c.arbiter is not None:
-            key += f"|arb:{c.arbiter}"
-        if c.regulate:
-            key += f"|reg:{';'.join(c.regulate)}"
+        if arbiter is not None:
+            key += f"|arb:{arbiter}"
+        if regulate:
+            key += f"|reg:{';'.join(regulate)}"
         return key
 
     def describe(self) -> str:
         """One-line human summary for logs and benchmark headers."""
         streams = " ".join(f"{b}:{d}" for b, d in self.streams)
         return f"{self.config.describe()}; streams {streams}; cpus {self.cpus}"
+
+
+def _canonical_streams(
+    m: int, streams: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """The lexicographically smallest image of ``streams`` under the
+    renumberings ``j -> k·(j - b0)``, ``gcd(k, m) = 1``.
+
+    Stream 1 becomes ``(0, k·d0)``, which is minimal exactly for the
+    units mapping ``d0`` to ``gcd(m, d0)`` — so every candidate starts
+    with ``(0, gcd(m, d0) mod m)``, only that (cached) stabiliser coset
+    is scanned, and only the remaining streams are compared.  A single
+    stream needs no scan at all.
+    """
+    (b0, d0), *rest = streams
+    head = (0, math.gcd(m, d0) % m)
+    if not rest:
+        return (head,)
+    rel = [(b - b0, d) for b, d in rest]
+    return (head, *min(
+        tuple([((b * k) % m, (d * k) % m) for b, d in rel])
+        for k in stabilizer_units(m, d0)
+    ))
+
+
+def _priority_spelling(name: str) -> str:
+    """The one spelling of a validated priority spec: ``block-cyclic:N``
+    with ``N`` as parsed, so ``block-cyclic: +04 `` keys as
+    ``block-cyclic:4``; ``fixed``/``cyclic``/``lru`` are returned as is."""
+    if not name.startswith("block-cyclic:"):
+        return name
+    from ..sim.priority import parse_priority
+
+    return f"block-cyclic:{parse_priority(name)[1]}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,6 +432,22 @@ class SimOutcome:
             grants=tuple(payload["grants"]),
             steady_start=payload["steady_start"],
             cycles=payload["cycles"],
+        )
+
+    def for_job(self, job: SimJob) -> "SimOutcome":
+        """This outcome for an isomorphic ``job``: a new outcome sharing
+        the immutable exact fields, which the renumbering preserves (see
+        :meth:`from_payload`).  Like any cached outcome it carries no
+        ``result``.  A direct constructor call costs about half of
+        :func:`dataclasses.replace`."""
+        return SimOutcome(
+            job=job,
+            backend=self.backend,
+            bandwidth=self.bandwidth,
+            period=self.period,
+            grants=self.grants,
+            steady_start=self.steady_start,
+            cycles=self.cycles,
         )
 
 

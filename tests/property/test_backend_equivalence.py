@@ -12,6 +12,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.arithmetic import units_tuple
 from repro.runner import SimJob, run
 
 
@@ -98,6 +99,27 @@ class TestCanonicalizationSoundness:
         assert canonical.period == original.period
         assert canonical.grants == original.grants
         assert canonical.steady_start == original.steady_start
+
+    @given(job=sim_jobs())
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_streams_match_brute_force(self, job):
+        """The stabiliser-coset scan finds the minimum over all of U(m).
+
+        The brute force applies every unit after translating stream 1
+        to bank 0 and keeps the lexicographically smallest stream tuple,
+        which is the definition the coset scan must reproduce.
+        """
+        m = job.banks
+        if job.section_mapping == "cyclic" or job.effective_sections == m:
+            b0 = job.streams[0][0]
+            want = min(
+                tuple(((b - b0) * k % m, d * k % m) for b, d in job.streams)
+                for k in units_tuple(m)
+            )
+        else:
+            want = job.streams  # renumbering would break the sections
+        assert job.canonical().streams == want
+        assert job.canonical().cache_key() == job.cache_key()
 
     @given(
         job=sim_jobs(),

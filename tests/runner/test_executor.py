@@ -12,6 +12,7 @@ from repro.obs import names as obs_names
 from repro.runner import (
     ResultStore,
     SimJob,
+    SimOutcome,
     SweepExecutor,
     default_executor,
     jobs_for_offsets,
@@ -34,17 +35,48 @@ class TestDedup:
         assert ex.stats.deduped == 2
         assert len({o.bandwidth for o in outs}) == 1
 
-    def test_isomorphic_jobs_collapse(self):
-        # j -> 5j maps the first job's streams onto the second's.
+    def test_isomorphic_jobs_collapse(self, tmp_path, monkeypatch):
+        # j -> 5j maps the first job's streams onto the second's, and a
+        # start translation maps it onto the third.
         a = SimJob.from_specs(CFG, [(0, 1), (5, 7)])
         b = SimJob.from_specs(CFG, [(0, 5), (25, 35)])
-        ex = SweepExecutor()
-        out_a, out_b = ex.run_many([a, b])
-        assert ex.stats.executed == 1
-        assert out_a.bandwidth == out_b.bandwidth
-        assert out_a.grants == out_b.grants
-        # each outcome still reports the job that was actually asked for
-        assert out_a.job is a and out_b.job is b
+        c = SimJob.from_specs(CFG, [(3, 1), (8, 7)])
+        batch = [a, b, c]
+        want = run(a, backend="fast")
+
+        decodes = []
+        from_payload = SimOutcome.from_payload
+
+        def counting(job, payload):
+            decodes.append(job)
+            return from_payload(job, payload)
+
+        monkeypatch.setattr(SimOutcome, "from_payload", counting)
+        path = tmp_path / "store"
+        first = SweepExecutor(backend="fast", store_path=path)
+        # cold, then the same executor's memo, then a fresh executor
+        # over the store the first one filled
+        sources = (
+            ("cold", first, 1),
+            ("memo", first, 0),
+            ("store", SweepExecutor(backend="fast", store_path=path), 0),
+        )
+        for source, ex, executed in sources:
+            decodes.clear()
+            before = ex.stats.executed
+            outs = ex.run_many(batch)
+            assert ex.stats.executed - before == executed, source
+            # each payload is decoded once per key, whatever its source
+            assert decodes == [a], source
+            for job, out in zip(batch, outs):
+                # each outcome still reports the job that was asked for
+                assert out.job is job, source
+                assert out.bandwidth == want.bandwidth, source
+                assert out.period == want.period, source
+                assert out.grants == want.grants, source
+                assert out.steady_start == want.steady_start, source
+                assert out.cycles == want.cycles, source
+            assert len({id(out) for out in outs}) == 3, source
 
     def test_memo_hits_across_batches(self):
         ex = SweepExecutor()

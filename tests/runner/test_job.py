@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.memory.config import MemoryConfig
-from repro.runner import SimJob, jobs_for_offsets
+from repro.runner import ResultStore, SimJob, SweepExecutor, jobs_for_offsets
 
 CFG = MemoryConfig(banks=12, bank_cycle=3)
 
@@ -99,6 +99,118 @@ class TestCanonicalization:
         steady = SimJob.from_specs(CFG, [(0, 1)])
         fixed = SimJob.from_specs(CFG, [(0, 1)], steady=False, cycles=100)
         assert steady.cache_key() != fixed.cache_key()
+
+
+#: Cache keys pinned byte for byte: ResultStore files each entry under
+#: sha256(cache_key()), so a changed byte orphans every existing store.
+#: Each input is a non-canonical member of its class.
+GOLDEN_KEYS = [
+    (
+        SimJob.from_specs(MemoryConfig(banks=16, bank_cycle=4), [(5, 6), (26, 42)]),
+        "m16c4s16@cyclic|0:2,7:14|cpu0,1|fixed/~|steady",
+    ),
+    (
+        SimJob.from_specs(MemoryConfig(banks=4096, bank_cycle=4), [(17, 2048)]),
+        "m4096c4s4096@cyclic|0:2048|cpu0|fixed/~|steady",
+    ),
+    (
+        SimJob.from_specs(
+            MemoryConfig(banks=16, bank_cycle=4, sections=4),
+            [(3, 3), (21, 21)],
+            cpus=(0, 0),
+        ),
+        "m16c4s4@cyclic|0:1,6:7|cpu0,0|fixed/~|steady",
+    ),
+    (
+        SimJob.from_specs(
+            MemoryConfig(
+                banks=12, bank_cycle=3, sections=4, section_mapping="consecutive"
+            ),
+            [(3, 5), (7, 2)],
+            cpus=(0, 0),
+            max_cycles=77,
+        ),
+        "m12c3s4@consecutive|3:5,7:2|cpu0,0|fixed/~|steady",
+    ),
+    (
+        SimJob.from_specs(CFG, [(3, 5), (1, 7)], regulate=["bank:2=1/4"]),
+        "m12c3s12@cyclic|3:5,1:7|cpu0,1|fixed/~|steady|reg:bank:2=1/4",
+    ),
+    (
+        SimJob.from_specs(CFG, [(3, 5), (1, 7)], regulate=["bank=1/4"]),
+        "m12c3s12@cyclic|0:1,2:11|cpu0,1|fixed/~|steady|reg:bank=1/4",
+    ),
+    (
+        SimJob.from_specs(
+            CFG,
+            [(3, 5), (1, 7)],
+            arbiter="wfq:2,1",
+            regulate=["stream:1=1/4", "bank=2/3", "stream:0=1/2"],
+        ),
+        "m12c3s12@cyclic|0:1,2:11|cpu0,1|fixed/~|steady|arb:wfq:2,1"
+        "|reg:bank=2/3;stream:0=1/2;stream:1=1/4",
+    ),
+    (
+        SimJob.from_specs(
+            MemoryConfig(banks=13, bank_cycle=4),
+            [(4, 3), (9, 5), (0, 12)],
+            cpus=(0, 1, 0),
+            priority="lru",
+            intra_priority="fixed",
+            steady=False,
+            cycles=100,
+        ),
+        "m13c4s13@cyclic|0:1,6:6,3:4|cpu0,1,0|lru/fixed|cycles=100",
+    ),
+]
+
+
+class TestCacheKeyBytes:
+    @pytest.mark.parametrize(
+        "job, key",
+        GOLDEN_KEYS,
+        ids=[
+            "pair", "single", "sections", "consecutive", "pinned-bank",
+            "uniform-bank", "wfq", "three-stream-lru",
+        ],
+    )
+    def test_golden_key(self, job, key):
+        assert job.cache_key() == key
+        assert job.canonical().cache_key() == key
+
+    def test_golden_store_path(self, tmp_path):
+        job = GOLDEN_KEYS[0][0]
+        path = ResultStore(tmp_path).path_for(job.cache_key())
+        digest = "d9ee6d3fa596ddf6603f14d6657d5eea473af1db39479c540a1669be0b94c3db"
+        assert path == tmp_path / digest[:2] / f"{digest}.json"
+
+    @pytest.mark.parametrize(
+        "spellings",
+        [
+            ("block-cyclic:4", "block-cyclic: +04 "),
+            ("block-cyclic:40", "block-cyclic:4_0"),
+        ],
+    )
+    def test_block_cyclic_spellings_share_a_key(self, spellings):
+        # parse_priority reads the block length with int(), so these
+        # spellings build the same rule; they must share one identity.
+        canon = spellings[0]
+        jobs = [
+            SimJob.from_specs(
+                CFG, [(0, 1), (5, 7)], priority=p, intra_priority=p
+            )
+            for p in spellings
+        ]
+        assert jobs[0].cache_key() == jobs[1].cache_key()
+        assert f"|{canon}/{canon}|" in jobs[1].cache_key()
+        assert jobs[1].canonical().priority == canon
+        assert jobs[1].canonical().intra_priority == canon
+        ex = SweepExecutor(backend="fast")
+        first, second = ex.run_many(jobs)
+        assert ex.stats.executed == 1
+        assert ex.stats.deduped == 1
+        assert second.job is jobs[1]
+        assert second.to_payload() == first.to_payload()
 
 
 class TestJobsForOffsets:
