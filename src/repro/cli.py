@@ -271,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", dest="jobs",
                    help="worker processes for the drain executor")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="shared result-store directory: preloaded into the "
-                        "lookup tier at startup, populated as the service "
-                        "simulates")
+                   help="shared result-store directory: repeats of stored "
+                        "results are read from it, fresh results are "
+                        "published to it")
     p.add_argument("--max-inflight", type=int, default=64, metavar="N",
                    help="load-shed (429 + Retry-After) past N concurrent "
                         "compute requests (default 64)")
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="before announcing readiness, simulate every "
                         "stride pair from this range (e.g. 1-16) over "
                         "every relative start on the configured memory "
-                        "and load the results into the lookup tier")
+                        "into the executor's memo (and the store)")
 
     p = sub.add_parser(
         "lint", help="static invariant analysis (reprolint)"

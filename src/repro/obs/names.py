@@ -339,8 +339,8 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
         SERVE_LOOKUP, "counter", ("tier",),
         "repro.serve.lookup.LookupTier.probe",
         "Lookup-tier probes by resolution: analytic closed form, "
-        "precomputed store entry, or miss (falls through to the "
-        "simulation drain queue).",
+        "the executor's memo, a result-store read, or miss (falls "
+        "through to the simulation drain queue).",
     ),
     MetricSpec(
         ENGINE_CLOCKS, "counter", (),

@@ -9,7 +9,7 @@ gives them one shared engine room:
   (:meth:`repro.runner.job.SimJob.cache_key`), so isomorphic jobs run
   once;
 * **memoization** — outcomes cache in an LRU in-process memo keyed by
-  the canonical job hash and, with ``store_path``/``store`` set, in a
+  the canonical job hash and, with ``store_path`` set, in a
   content-addressed :class:`~repro.runner.store.ResultStore` probed
   after the memo.  The store is the only on-disk level: every finished
   chunk is published to it as it completes (one atomic file per key,
@@ -36,6 +36,7 @@ directly when you need those.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, cast
 
@@ -145,12 +146,6 @@ class SweepExecutor:
         by chunk as chunks finish, so a killed sweep keeps its
         finished chunks and concurrent sweeps exchange results
         through it.
-    store:
-        An already-constructed :class:`~repro.runner.store.ResultStore`
-        to share verbatim — the :mod:`repro.serve` service hands its
-        lookup tier and its warm executor the *same* store instance so
-        precomputed entries and fresh results flow through one
-        directory.  Mutually exclusive with ``store_path``.
     """
 
     def __init__(
@@ -161,7 +156,6 @@ class SweepExecutor:
         max_memo: int = 200_000,
         retry: RetryPolicy | None = None,
         store_path: str | os.PathLike[str] | None = None,
-        store: ResultStore | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be positive")
@@ -173,15 +167,9 @@ class SweepExecutor:
         self.retry = retry
         self.stats = ExecutorStats()
         self._memo: dict[str, dict] = {}
-        if store is not None and store_path is not None:
-            raise ValueError("pass either store= or store_path=, not both")
-        self._store = (
-            store
-            if store is not None
-            else ResultStore(store_path)
-            if store_path is not None
-            else None
-        )
+        #: Guards ``_memo``: :meth:`peek` may overlap one ``run_many``.
+        self._memo_lock = threading.Lock()
+        self._store = ResultStore(store_path) if store_path is not None else None
 
     # ------------------------------------------------------------------
     def run_one(self, job: SimJob, *, backend: str | None = None) -> SimOutcome:
@@ -225,28 +213,32 @@ class SweepExecutor:
             reg.gauge(_names.EXECUTOR_MEMO_SIZE).set(len(self._memo))
         return out
 
-    def peek(self, job: SimJob) -> SimOutcome | None:
+    def peek(self, job: SimJob, key: str) -> tuple[SimOutcome, str] | None:
         """Probe the caches for ``job`` without ever executing it.
 
-        Checks the in-process memo, then the shared store (a store hit
-        is promoted into the memo).  Returns ``None`` on a miss — and
-        always for trace jobs, which are uncacheable.  This is the
-        cheap-path probe of the :mod:`repro.serve` lookup tier: the
-        event loop may call it inline because it never blocks on a
-        simulation.
+        ``key`` is ``job.cache_key()``, computed once by the caller.
+        Returns ``(outcome, level)``: level ``"memo"`` for an in-process
+        memo hit (recency refreshed), ``"store"`` for a shared-store read
+        (the payload is promoted into the memo, so the next peek says
+        ``"memo"``).  ``None`` on a miss, and always for trace jobs,
+        which are uncacheable.  This is the cheap-path probe of the
+        :mod:`repro.serve` lookup tier: the event loop calls it inline,
+        possibly while one ``run_many`` runs in the drain thread, and it
+        never blocks on a simulation.
         """
         if job.trace:
             return None
-        key = job.cache_key()
-        if key in self._memo:
-            payload = self._memo.pop(key)
-            self._memo[key] = payload  # LRU refresh
-            return SimOutcome.from_payload(job, payload)
+        with self._memo_lock:
+            payload = self._memo.pop(key, None)
+            if payload is not None:
+                self._memo[key] = payload  # LRU refresh
+        if payload is not None:
+            return SimOutcome.from_payload(job, payload), "memo"
         if self._store is not None:
             payload = self._store.get(key)
             if payload is not None:
                 self._insert({key: payload})
-                return SimOutcome.from_payload(job, payload)
+                return SimOutcome.from_payload(job, payload), "store"
         return None
 
     def _run_batch(
@@ -255,29 +247,28 @@ class SweepExecutor:
         backend = backend if backend is not None else self.backend
         self.stats.submitted += len(jobs)
 
-        keys: list[str | None] = []
+        # Trace jobs are uncacheable (key None).
+        keys = [None if job.trace else job.cache_key() for job in jobs]
         fresh: dict[str, SimJob] = {}
         # Hits are held locally as well as re-queued at the memo's MRU
         # end: this batch's own eviction can then never invalidate them.
         held: dict[str, dict] = {}
-        for job in jobs:
-            if job.trace:
-                keys.append(None)  # uncacheable
-                continue
-            key = job.cache_key()
-            keys.append(key)
-            if key in held:
-                self.stats.hits += 1
-            elif key in self._memo:
-                self.stats.hits += 1
-                # LRU refresh: re-insert at the most-recently-used end.
-                payload = self._memo.pop(key)
-                self._memo[key] = payload
-                held[key] = payload
-            elif key in fresh:
-                self.stats.deduped += 1
-            else:
-                fresh[key] = job
+        with self._memo_lock:
+            for job, key in zip(jobs, keys):
+                if key is None:
+                    continue
+                if key in held:
+                    self.stats.hits += 1
+                elif key in self._memo:
+                    self.stats.hits += 1
+                    # LRU refresh: re-insert at the most-recently-used end.
+                    payload = self._memo.pop(key)
+                    self._memo[key] = payload
+                    held[key] = payload
+                elif key in fresh:
+                    self.stats.deduped += 1
+                else:
+                    fresh[key] = job
 
         ran, failed = self._execute(fresh, backend) if fresh else ({}, {})
 
@@ -294,15 +285,9 @@ class SweepExecutor:
             elif key in decoded:
                 out.append(decoded[key].for_job(job))
             else:
-                # Explicit membership checks: a falsy-but-present payload
-                # must resolve from its actual source, never fall through.
-                payload = (
-                    ran[key]
-                    if key in ran
-                    else held[key]
-                    if key in held
-                    else self._memo[key]
-                )
+                # Every key ran (or was served by the store) or is held;
+                # an explicit check, so a falsy payload never falls through.
+                payload = ran[key] if key in ran else held[key]
                 decoded[key] = outcome = SimOutcome.from_payload(job, payload)
                 out.append(outcome)
         return out
@@ -366,18 +351,20 @@ class SweepExecutor:
         """Insert fresh payloads with LRU eviction, oldest first,
         *before* inserting: fresh results must land at the MRU end and
         survive their own chunk."""
-        room = max(self.max_memo - len(payloads), 0)
-        while len(self._memo) > room:
-            self._memo.pop(next(iter(self._memo)))
-            self.stats.evictions += 1
-        self._memo.update(payloads)
-        while len(self._memo) > self.max_memo:
-            self._memo.pop(next(iter(self._memo)))
-            self.stats.evictions += 1
+        with self._memo_lock:
+            room = max(self.max_memo - len(payloads), 0)
+            while len(self._memo) > room:
+                self._memo.pop(next(iter(self._memo)))
+                self.stats.evictions += 1
+            self._memo.update(payloads)
+            while len(self._memo) > self.max_memo:
+                self._memo.pop(next(iter(self._memo)))
+                self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop the in-process memo (the store is untouched)."""
-        self._memo.clear()
+        with self._memo_lock:
+            self._memo.clear()
 
     def __len__(self) -> int:
         return len(self._memo)

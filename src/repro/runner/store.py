@@ -118,10 +118,9 @@ class ResultStore:
 
         One sequential pass over the fan-out directories; unreadable or
         malformed files are skipped (use :meth:`get` for the
-        quarantining read path).  This is the preload path of the
-        :class:`repro.serve.lookup.LookupTier`: a service sucks the
-        whole precomputed table into memory once at startup instead of
-        paying a file open per query.
+        quarantining read path).  For inspection and bulk export
+        (``len(store)`` and :meth:`keys` go through it); the cache
+        levels read one key at a time.
         """
         for file in sorted(self.root.glob("??/*.json")):
             try:

@@ -15,10 +15,11 @@ Four modules, one per concern:
     frozen :class:`~repro.runner.job.SimJob` values, exact-``Fraction``
     response payloads, and the failure-mode → HTTP status table.
 :mod:`repro.serve.lookup`
-    The cheap tier — closed-form :func:`~repro.runner.analytic.solve`
-    plus a preloaded precomputed table out of the shared
-    :class:`~repro.runner.store.ResultStore`; answers on the event loop
-    in microseconds, never simulates.
+    The cheap tier — closed-form :func:`~repro.runner.analytic.solve`,
+    then the shared executor's memo and
+    :class:`~repro.runner.store.ResultStore` via
+    :meth:`~repro.runner.executor.SweepExecutor.peek`; answers on the
+    event loop in microseconds, never simulates, keeps no table.
 :mod:`repro.serve.coalesce`
     The expensive tier — concurrent identical queries (identical under
     the Appendix isomorphism) fold onto one in-flight computation, and

@@ -14,11 +14,15 @@ Request flow for the compute endpoints (``/v1/beff``, ``/v1/sweep``):
    instead of queueing unboundedly;
 2. **validate** — the body parses into frozen
    :class:`~repro.runner.job.SimJob` values or fails as a ``400``;
-3. **probe** — the :class:`~repro.serve.lookup.LookupTier` answers
-   analytically-decided and precomputed points inline, in microseconds;
-4. **drain** — the rest coalesce through the
-   :class:`~repro.serve.coalesce.Coalescer` onto one warm shared
-   :class:`~repro.runner.executor.SweepExecutor` in a worker thread.
+3. **key** — each job is keyed once (``SimJob.cache_key``); the probe,
+   the coalescer and the response all reuse that key;
+4. **probe** — the :class:`~repro.serve.lookup.LookupTier` answers
+   analytically-decided points, and points the shared
+   :class:`~repro.runner.executor.SweepExecutor` holds in its memo or
+   store, inline, in microseconds;
+5. **drain** — the rest coalesce through the
+   :class:`~repro.serve.coalesce.Coalescer` onto that executor in a
+   worker thread.
 
 Shutdown is graceful: the listener closes, keep-alive connections
 parked between requests are closed, in-flight requests finish and are
@@ -45,7 +49,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Stopwatch
 from ..runner.executor import SweepExecutor
 from ..runner.job import SimJob
-from ..runner.store import ResultStore
 from .coalesce import Coalescer
 from .lookup import LookupTier
 from .protocol import (
@@ -95,15 +98,10 @@ class BandwidthService:
     Parameters
     ----------
     executor:
-        A warm :class:`SweepExecutor` to share; built internally (with
-        ``backend`` and the store) when ``None``.
-    backend:
-        Backend for an internally built executor (default ``"auto"``:
-        closed form where a theorem decides, lockstep batch core for
-        large undecided drains).
-    store:
-        Shared :class:`ResultStore` — the lookup tier preloads it and
-        the executor publishes fresh results back into it.
+        The warm :class:`SweepExecutor` every request shares, and the
+        only owner of cached answers: the lookup tier peeks its memo
+        and store, the drain runs misses through it (which publishes
+        them to its store, if it has one).
     max_inflight:
         Load-shedding cap on concurrently served compute requests.
     max_sweep_jobs:
@@ -113,18 +111,14 @@ class BandwidthService:
     def __init__(
         self,
         *,
-        executor: SweepExecutor | None = None,
-        backend: str = "auto",
-        store: ResultStore | None = None,
+        executor: SweepExecutor,
         max_inflight: int = 64,
         max_sweep_jobs: int = MAX_SWEEP_JOBS,
     ) -> None:
         if max_inflight < 0:
             raise ValueError("max_inflight must be non-negative")
-        if executor is None:
-            executor = SweepExecutor(backend=backend, store=store)
         self.executor = executor
-        self.lookup = LookupTier(store=store, executor=executor)
+        self.lookup = LookupTier(executor=executor)
         self.coalescer = Coalescer(executor)
         self.registry = MetricsRegistry()
         self.max_inflight = max_inflight
@@ -250,7 +244,7 @@ class BandwidthService:
                 "status": "draining" if self._draining else "ok",
                 "inflight": self._inflight,
                 "queue_depth": self.coalescer.queue_depth,
-                "lookup_entries": len(self.lookup),
+                "lookup_entries": len(self.executor),
                 "executor": self.executor.stats.as_dict(),
             }
         )
@@ -308,24 +302,30 @@ class BandwidthService:
         return 200, "application/json", body, {}
 
     async def _answer_one(self, job: SimJob) -> dict:
-        hit = self.lookup.probe(job)
+        """One job's response object; a failed job's has tier ``failed``."""
+        key = job.cache_key()
+        hit = self.lookup.probe(job, key)
         if hit is not None:
             outcome, tier = hit
-            return outcome_to_payload(job, outcome, tier=tier)
-        outcome = await self.coalescer.submit(job)
+            return outcome_to_payload(outcome, key=key, tier=tier)
+        outcome = await self.coalescer.submit(job, key)
         if outcome.failed:
-            raise ProtocolError(
-                "failed-job",
-                f"job could not be completed: {getattr(outcome, 'error', '?')}",
-            )
-        self.lookup.absorb(job, outcome)
-        return outcome_to_payload(job, outcome, tier="simulated")
+            error = getattr(outcome, "error", "?")
+            return {
+                "key": key,
+                "tier": "failed",
+                "failed": True,
+                "error": f"job could not be completed: {error}",
+            }
+        return outcome_to_payload(outcome, key=key, tier="simulated")
 
     async def _beff(self, data: object) -> _Response:
         job = job_from_payload(data)
         if job.trace:
             raise ProtocolError("malformed", "trace jobs are not servable")
         result = await self._answer_one(job)
+        if result["tier"] == "failed":
+            raise ProtocolError("failed-job", result["error"])
         return 200, "application/json", _json_body(result), {}
 
     async def _sweep(self, data: object) -> _Response:
@@ -341,21 +341,7 @@ class BandwidthService:
                 f"{self.max_sweep_jobs}",
             )
         jobs = [job_from_payload(item) for item in raw_jobs]
-
-        async def _safe(job: SimJob) -> dict:
-            try:
-                return await self._answer_one(job)
-            except ProtocolError as exc:
-                if exc.mode != "failed-job":
-                    raise
-                return {
-                    "key": job.cache_key(),
-                    "tier": "failed",
-                    "failed": True,
-                    "error": str(exc),
-                }
-
-        results = await asyncio.gather(*(_safe(job) for job in jobs))
+        results = await asyncio.gather(*(self._answer_one(job) for job in jobs))
         tiers: dict[str, int] = {}
         for item in results:
             tiers[item["tier"]] = tiers.get(item["tier"], 0) + 1
@@ -535,25 +521,24 @@ def run_server(
 ) -> None:
     """Build a service and serve until SIGINT/SIGTERM (the CLI entry).
 
-    ``store_path`` wires one shared :class:`ResultStore` into both the
-    lookup tier and the executor; ``precompute_jobs`` runs an offline
-    warm-up sweep through the executor before the listener is
-    announced, so a ``--precompute`` launch only reports ready once the
-    table is hot.
+    ``store_path`` gives the service's executor a
+    :class:`~repro.runner.store.ResultStore`: repeats of stored keys
+    are answered from it, and fresh results are published to it.
+    ``precompute_jobs`` runs through the executor in one ``run_many``
+    before the listener is announced, so a ``--precompute`` launch only
+    reports ready once its memo (and store) hold every precomputed
+    point.
     """
-    store = ResultStore(store_path) if store_path is not None else None
-    executor = SweepExecutor(backend=backend, workers=workers, store=store)
-    service = BandwidthService(
-        executor=executor, store=store, max_inflight=max_inflight
+    executor = SweepExecutor(
+        backend=backend, workers=workers, store_path=store_path
     )
+    service = BandwidthService(executor=executor, max_inflight=max_inflight)
 
     async def _precompute(svc: BandwidthService) -> None:
         assert precompute_jobs is not None
         loop = asyncio.get_running_loop()
-        added = await loop.run_in_executor(
-            None, lambda: svc.lookup.precompute(precompute_jobs)
-        )
-        announce(f"precomputed {added} lookup entries")
+        await loop.run_in_executor(None, svc.executor.run_many, precompute_jobs)
+        announce(f"precomputed {len(svc.executor)} unique results")
 
     asyncio.run(
         _amain(

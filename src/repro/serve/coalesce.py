@@ -13,9 +13,10 @@ lock would waste the batch backends' lockstep width.  The
   :meth:`~repro.runner.executor.SweepExecutor.run_many` call, so a
   burst of novel points reaches the batch backend as one wide
   population instead of N width-1 calls.
-* **serialise** — exactly one drain task talks to the executor (which
-  is not thread-safe), off the event loop in a worker thread; requests
-  arriving mid-drain queue for the next batch.
+* **serialise** — exactly one drain task runs the executor's
+  ``run_many``, off the event loop in a worker thread; requests
+  arriving mid-drain queue for the next batch.  Only the lookup tier's
+  ``peek`` may overlap a drain (docs/RUNNER.md "Serving").
 
 Late duplicates (arriving after their twin resolved) are *not* folded
 here — they hit the executor's memo and cost a cache lookup, which is
@@ -58,17 +59,18 @@ class Coalescer:
         if reg is not None:
             reg.gauge(_names.SERVE_QUEUE_DEPTH).set(len(self._pending))
 
-    async def submit(self, job: SimJob) -> SimOutcome:
+    async def submit(self, job: SimJob, key: str) -> SimOutcome:
         """Resolve ``job``, folding onto an in-flight twin if one exists.
 
-        Raises whatever the executor raised for the batch the job ran
-        in; under a non-strict retry policy failures come back as
+        ``key`` is ``job.cache_key()``, computed once per request by the
+        caller; twins share it.  Raises whatever the executor raised for
+        the batch the job ran in; under a non-strict retry policy
+        failures come back as
         :class:`~repro.runner.resilience.FailedOutcome` values instead
         (check ``outcome.failed``).
         """
         if self._closed:
             raise RuntimeError("coalescer is closed")
-        key = job.cache_key()
         fut = self._inflight.get(key)
         if fut is not None:
             reg = _metrics.active_metrics()

@@ -1,4 +1,4 @@
-"""The precomputed lookup tier: answer without simulating.
+"""The lookup tier: answer without simulating.
 
 Most service traffic in practice is *lookups*: points a theorem decides
 in closed form, or points somebody already paid a simulation for.  This
@@ -8,109 +8,54 @@ queue:
 
 1. **Analytic** — :func:`repro.runner.analytic.solve`: Theorem 1/2/3
    closed forms, bit-identical to simulation, no I/O at all.
-2. **Store** — an in-memory table preloaded from the shared
-   :class:`~repro.runner.store.ResultStore` at startup (the table the
-   ``repro-mem serve --precompute`` pass builds offline).  Keys are
-   canonical under the Appendix isomorphism, so a probe canonicalizes
-   once and hits regardless of the client's bank numbering.
-3. **Memo** — the warm executor's in-process cache via
-   :meth:`~repro.runner.executor.SweepExecutor.peek`: results earlier
-   requests simulated this process.
+2. **Memo** — the shared executor's in-process memo, via
+   :meth:`~repro.runner.executor.SweepExecutor.peek`: everything this
+   process simulated, precomputed or read from the store.
+3. **Store** — a read of the executor's
+   :class:`~repro.runner.store.ResultStore`, when it has one: results
+   earlier processes published.  The read promotes the payload into
+   the memo, so a repeat answers ``memo``.
 
-A probe never blocks on a simulation; a miss is a miss.
+The executor is the only owner of cached answers; this tier keeps no
+table of its own.  Keys are canonical under the Appendix isomorphism,
+so a probe hits regardless of the client's bank numbering.  A probe
+never blocks on a simulation; a miss is a miss.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..runner.analytic import solve
 from ..runner.executor import SweepExecutor
 from ..runner.job import SimJob, SimOutcome
-from ..runner.store import ResultStore
 
 __all__ = ["LookupTier"]
 
 
 class LookupTier:
-    """Tiered read-only probe: analytic form, preloaded store, memo."""
+    """Read-only probe: the closed form, then the executor's caches."""
 
-    def __init__(
-        self,
-        *,
-        store: ResultStore | None = None,
-        executor: SweepExecutor | None = None,
-    ) -> None:
-        self._store = store
+    def __init__(self, *, executor: SweepExecutor) -> None:
         self._executor = executor
-        self._table: dict[str, dict] = {}
-        if store is not None:
-            self._table.update(store.items())
-
-    def __len__(self) -> int:
-        """Entries in the preloaded in-memory table."""
-        return len(self._table)
 
     def _count(self, tier: str) -> None:
         reg = _metrics.active_metrics()
         if reg is not None:
             reg.counter(_names.SERVE_LOOKUP, tier=tier).inc()
 
-    def probe(self, job: SimJob) -> tuple[SimOutcome, str] | None:
+    def probe(self, job: SimJob, key: str) -> tuple[SimOutcome, str] | None:
         """``(outcome, tier)`` when a cheap tier answers, else ``None``.
 
-        ``tier`` is ``"analytic"``, ``"store"`` or ``"memo"``; a miss
-        (returned as ``None``) counts under the ``"miss"`` label and
-        means the caller must queue the job for simulation.
+        ``key`` is ``job.cache_key()``, computed once per request by the
+        caller.  ``tier`` is ``"analytic"``, ``"memo"`` or ``"store"``;
+        a miss (returned as ``None``) counts under the ``"miss"`` label
+        and means the caller must queue the job for simulation.
         """
         out = solve(job)
         if out is not None:
             self._count("analytic")
             return out, "analytic"
-        if self._table:
-            payload = self._table.get(job.cache_key())
-            if payload is not None:
-                self._count("store")
-                return SimOutcome.from_payload(job, payload), "store"
-        if self._executor is not None:
-            peeked = self._executor.peek(job)
-            if peeked is not None:
-                self._count("memo")
-                return peeked, "memo"
-        self._count("miss")
-        return None
-
-    # ------------------------------------------------------------------
-    # Offline precompute (the ``repro-mem serve --precompute`` pass)
-    # ------------------------------------------------------------------
-    def precompute(
-        self,
-        jobs: Iterable[SimJob],
-        *,
-        executor: SweepExecutor | None = None,
-    ) -> int:
-        """Run ``jobs`` through the executor and absorb the results.
-
-        The executor publishes to the shared store as it goes (when one
-        is attached), so the table this builds survives a restart;
-        trace jobs and failures are skipped.  Returns the number of
-        table entries added or refreshed.
-        """
-        runner = executor if executor is not None else self._executor
-        if runner is None:
-            raise ValueError("precompute needs an executor")
-        batch: Sequence[SimJob] = [j for j in jobs if not j.trace]
-        added = 0
-        for job, outcome in zip(batch, runner.run_many(batch)):
-            if outcome.failed:
-                continue
-            self._table[job.cache_key()] = outcome.to_payload()
-            added += 1
-        return added
-
-    def absorb(self, job: SimJob, outcome: SimOutcome) -> None:
-        """Fold one fresh simulated result into the in-memory table."""
-        if not job.trace and not outcome.failed:
-            self._table[job.cache_key()] = outcome.to_payload()
+        hit = self._executor.peek(job, key)
+        self._count("miss" if hit is None else hit[1])
+        return hit

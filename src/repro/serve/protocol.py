@@ -70,7 +70,7 @@ ENDPOINTS: tuple[EndpointSpec, ...] = (
     ),
     EndpointSpec(
         "GET", "/healthz",
-        "Liveness probe: status, in-flight count, lookup-table size.",
+        "Liveness probe: status, in-flight count, executor memo size.",
     ),
 )
 
@@ -216,19 +216,18 @@ def job_from_payload(payload: object) -> SimJob:
         raise ProtocolError("malformed", str(exc)) from None
 
 
-def outcome_to_payload(
-    job: SimJob, outcome: SimOutcome, *, tier: str
-) -> dict:
+def outcome_to_payload(outcome: SimOutcome, *, key: str, tier: str) -> dict:
     """One response object: exact numbers plus provenance.
 
-    ``tier`` records where the answer came from (``analytic`` / ``store``
-    / ``memo`` / ``simulated``); ``bandwidth`` stays the exact
-    ``"num/den"`` string and ``bandwidth_float`` is the convenience
-    decimal (the serve layer is outside the EXACT001 exactness scope,
-    analyses must keep using the Fraction).
+    ``key`` is the job's canonical ``cache_key()``, computed once per
+    request by the caller.  ``tier`` records where the answer came from
+    (``analytic`` / ``memo`` / ``store`` / ``simulated``); ``bandwidth``
+    stays the exact ``"num/den"`` string and ``bandwidth_float`` is the
+    convenience decimal (the serve layer is outside the EXACT001
+    exactness scope, analyses must keep using the Fraction).
     """
     body = outcome.to_payload()
     body["bandwidth_float"] = outcome.bandwidth_float
-    body["key"] = job.cache_key()
+    body["key"] = key
     body["tier"] = tier
     return body

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -179,10 +182,10 @@ class TestDiskCache:
         # A stale entry is a miss: the job re-runs and is rewritten.
         store = ResultStore(tmp_path)
         key = _job().cache_key()
-        SweepExecutor(store=store).run_one(_job())
+        SweepExecutor(store_path=tmp_path).run_one(_job())
         path = store.path_for(key)
         path.write_text(json.dumps({**json.loads(path.read_text()), "version": 0}))
-        ex = SweepExecutor(store=store)
+        ex = SweepExecutor(store_path=tmp_path)
         with pytest.warns(RuntimeWarning, match="version-mismatched"):
             ex.run_one(_job())
         assert ex.stats.executed == 1
@@ -236,6 +239,72 @@ class TestLruMemo:
         assert outs[0].bandwidth == first.bandwidth
         assert outs[0].grants == first.grants
         assert len(ex) == 1
+
+
+class TestPeek:
+    def test_miss_and_trace_jobs_return_none(self):
+        ex = SweepExecutor(backend="fast")
+        job = _job()
+        assert ex.peek(job, job.cache_key()) is None
+        ex.run_one(job)
+        traced = SimJob.from_specs(CFG, [(0, 1), (5, 7)], trace=4)
+        assert ex.peek(traced, traced.cache_key()) is None
+        assert ex.stats.executed == 1
+
+    def test_peek_may_overlap_one_run_many(self, tmp_path):
+        """The service peeks on its event loop while the drain thread
+        runs ``run_many``: with a full memo, peek's LRU refresh and
+        store promotion must not break the drain's eviction, and every
+        peeked outcome must stay exact.  Bounded to about 2 s."""
+        hot = [_job(b2) for b2 in (1, 2, 3, 4)]
+        keys = [job.cache_key() for job in hot]
+        assert len(set(keys)) == len(hot)
+        ex = SweepExecutor(backend="fast", max_memo=8, store_path=tmp_path)
+        expected = [out.to_payload() for out in ex.run_many(hot)]
+        assert [want["bandwidth"] for want in expected] == [
+            run(job, backend="fast").to_payload()["bandwidth"] for job in hot
+        ]
+        novel = [
+            SimJob.from_specs(MemoryConfig(banks=m, bank_cycle=3), [(0, 1), (b, d)])
+            for m in range(13, 40)
+            for d in range(1, m)
+            for b in range(1, 3)
+        ]
+        errors: list[Exception] = []
+        stop = threading.Event()
+
+        def drain() -> None:
+            try:
+                for i in range(0, len(novel), 4):
+                    if stop.is_set():
+                        break
+                    ex.run_many(novel[i : i + 4])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        worker = threading.Thread(target=drain)
+        peeks = 0
+        try:
+            worker.start()
+            deadline = time.monotonic() + 2.0
+            while not stop.is_set() and time.monotonic() < deadline:
+                for job, key, want in zip(hot, keys, expected):
+                    hit = ex.peek(job, key)
+                    assert hit is not None  # memo, or the store behind it
+                    assert hit[0].to_payload() == want
+                    peeks += 1
+        finally:
+            stop.set()
+            worker.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert errors == []
+        assert peeks > 0
+        assert ex.stats.executed > len(hot)
 
 
 class TestStats:

@@ -316,10 +316,10 @@ class TestCrashSafeCache:
         quarantined and reads as a miss, so only its job re-runs."""
         jobs = _jobs()
         store = ResultStore(tmp_path / "store")
-        SweepExecutor(backend="fast", store=store).run_many(jobs)
+        SweepExecutor(backend="fast", store_path=store.root).run_many(jobs)
         path = store.path_for(jobs[0].cache_key())
         path.write_text(corrupt(path.read_text()))
-        ex = SweepExecutor(backend="fast", store=store)
+        ex = SweepExecutor(backend="fast", store_path=store.root)
         with pytest.warns(RuntimeWarning, match=match):
             ex.run_many(jobs)
         assert ex.stats.executed == 1
@@ -347,7 +347,7 @@ class TestCrashSafeCache:
         store = self._sweep_over_bad_entry(
             tmp_path, lambda text: "garbage", "unreadable"
         )
-        warm = SweepExecutor(backend="fast", store=store)
+        warm = SweepExecutor(backend="fast", store_path=store.root)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the rewrite is clean
             warm.run_many(_jobs())
@@ -469,7 +469,7 @@ class TestCrashSafeCache:
         assert len(result_store) == written  # items() skips the temp
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any quarantine fails
-            warm = SweepExecutor(backend="fast", store=result_store)
+            warm = SweepExecutor(backend="fast", store_path=store)
             warm.run_many(jobs_for_offsets(CFG, 1, 7, range(12)))
             warm.run_many(jobs_for_offsets(CFG, 1, 11, range(12)))
         assert warm.stats.executed == 0  # every entry survived the kill

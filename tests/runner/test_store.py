@@ -115,7 +115,7 @@ class TestQuarantine:
         store.put("k", {"v": 1})
         path = store.path_for("k")
         path.write_text(json.dumps({"version": 1, "key": "k", "payload": [1]}))
-        assert list(store.items()) == []  # the preload path skips it
+        assert list(store.items()) == []  # the bulk read skips it
         with pytest.warns(RuntimeWarning, match="malformed"):
             assert store.get("k") is None
         assert path.with_suffix(path.suffix + ".corrupt").exists()

@@ -3,11 +3,15 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.obs import names as _names
 from repro.obs.metrics import MetricsRegistry, capture_metrics
 from repro.runner.executor import SweepExecutor
-from repro.runner.store import ResultStore
+from repro.runner.job import SimJob
+from repro.runner.resilience import RetryPolicy
 from repro.serve.app import BandwidthService
+from repro.serve.protocol import job_from_payload
 
 #: Analytically undecided pair: forces the simulation drain path.
 UNDECIDED = {"banks": 8, "bank_cycle": 4, "streams": [[0, 4], [0, 4]]}
@@ -81,23 +85,100 @@ class TestBeff:
         _post(service, "/v1/beff", UNDECIDED)
         status, _, body, _ = _post(service, "/v1/beff", UNDECIDED)
         assert status == 200
-        assert json.loads(body)["tier"] in ("store", "memo")
+        assert json.loads(body)["tier"] == "memo"
+        assert service.executor.stats.executed == 1
+
+    def test_storeless_service_never_answers_store(self):
+        service = _service()
+        twin = {**UNDECIDED, "streams": [[3, 4], [3, 4]]}  # isomorphic
+        tiers = [
+            json.loads(_post(service, "/v1/beff", body)[2])["tier"]
+            for body in (UNDECIDED, UNDECIDED, twin, UNDECIDED)
+        ]
+        assert tiers == ["simulated", "memo", "memo", "memo"]
+        _, _, body, _ = _post(service, "/v1/sweep", {"jobs": [UNDECIDED] * 3})
+        assert json.loads(body)["tiers"] == {"memo": 3}
         assert service.executor.stats.executed == 1
 
     def test_store_tier_serves_precomputed_points(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        warm = SweepExecutor(backend="fast", store=store)
-        from repro.serve.protocol import job_from_payload
-
         job = job_from_payload(UNDECIDED)
-        warm.run_one(job)
+        SweepExecutor(backend="fast", store_path=tmp_path).run_one(job)
         service = BandwidthService(
-            executor=SweepExecutor(backend="auto"), store=store
+            executor=SweepExecutor(backend="auto", store_path=tmp_path)
         )
         status, _, body, _ = _post(service, "/v1/beff", UNDECIDED)
         assert status == 200
         assert json.loads(body)["tier"] == "store"
         assert service.executor.stats.executed == 0
+        # the store read was promoted into the executor's memo
+        status, _, body, _ = _post(service, "/v1/beff", UNDECIDED)
+        assert status == 200
+        assert json.loads(body)["tier"] == "memo"
+        assert service.executor.stats.executed == 0
+
+    def test_failed_job_is_502(self):
+        service = _service(executor=_failing_executor())
+        status, _, body, _ = _post(service, "/v1/beff", UNDECIDED)
+        assert status == 502
+        assert json.loads(body)["error"]["mode"] == "failed-job"
+
+
+def _failing_executor():
+    """Undecided jobs fail on the analytic backend; the non-strict
+    policy returns them as FailedOutcome values."""
+    return SweepExecutor(
+        backend="analytic", retry=RetryPolicy(max_retries=0, backoff_base_ms=0)
+    )
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Every ``SimJob.cache_key`` call, recorded as the job it keyed."""
+    calls = []
+    cache_key = SimJob.cache_key
+
+    def counted(job):
+        calls.append(job)
+        return cache_key(job)
+
+    monkeypatch.setattr(SimJob, "cache_key", counted)
+    return calls
+
+
+class TestOneKeyPerRequest:
+    """Each request keys its job once; a miss adds run_many's own key."""
+
+    def _key_calls(self, key_calls, service, body):
+        key_calls.clear()
+        status, _, _, _ = _post(service, "/v1/beff", body)
+        assert status == 200
+        return len(key_calls)
+
+    def test_analytic_answer_keys_once(self, key_calls):
+        assert self._key_calls(key_calls, _service(), ANALYTIC) == 1
+
+    def test_miss_then_memo_answer(self, key_calls):
+        service = _service()
+        assert self._key_calls(key_calls, service, UNDECIDED) == 2
+        assert self._key_calls(key_calls, service, UNDECIDED) == 1
+
+    def test_store_answer_keys_once(self, key_calls, tmp_path):
+        job = job_from_payload(UNDECIDED)
+        SweepExecutor(backend="fast", store_path=tmp_path).run_one(job)
+        service = _service(executor=SweepExecutor(store_path=tmp_path))
+        assert self._key_calls(key_calls, service, UNDECIDED) == 1
+
+    def test_failed_sweep_entry_reuses_the_request_key(self, key_calls):
+        service = _service(executor=_failing_executor())
+        status, _, body, _ = _post(service, "/v1/sweep", {"jobs": [UNDECIDED]})
+        # the request's key plus run_many's; the failed entry adds none
+        assert len(key_calls) == 2
+        assert status == 200
+        data = json.loads(body)
+        assert data["failures"] == 1
+        (entry,) = data["results"]
+        assert entry["tier"] == "failed" and entry["failed"] is True
+        assert entry["key"] == job_from_payload(UNDECIDED).cache_key()
 
 
 class TestSweep:

@@ -28,7 +28,7 @@ class TestCoalescing:
         async def main():
             job = _job(UNDECIDED)
             return await asyncio.gather(
-                *(coalescer.submit(job) for _ in range(64))
+                *(coalescer.submit(job, job.cache_key()) for _ in range(64))
             )
 
         outcomes = asyncio.run(main())
@@ -46,7 +46,8 @@ class TestCoalescing:
             b = _job([(3, 4), (3, 4)])
             assert a.cache_key() == b.cache_key()
             return await asyncio.gather(
-                coalescer.submit(a), coalescer.submit(b)
+                coalescer.submit(a, a.cache_key()),
+                coalescer.submit(b, b.cache_key()),
             )
 
         outcomes = asyncio.run(main())
@@ -62,7 +63,7 @@ class TestCoalescing:
 
         async def main():
             return await asyncio.gather(
-                *(coalescer.submit(j) for j in jobs)
+                *(coalescer.submit(j, j.cache_key()) for j in jobs)
             )
 
         outcomes = asyncio.run(main())
@@ -76,8 +77,8 @@ class TestCoalescing:
         job = _job(UNDECIDED)
 
         async def main():
-            first = await coalescer.submit(job)
-            second = await coalescer.submit(job)
+            first = await coalescer.submit(job, job.cache_key())
+            second = await coalescer.submit(job, job.cache_key())
             return first, second
 
         first, second = asyncio.run(main())
@@ -94,7 +95,7 @@ class TestFailurePaths:
 
         async def main():
             return await asyncio.gather(
-                *(coalescer.submit(job) for _ in range(3)),
+                *(coalescer.submit(job, job.cache_key()) for _ in range(3)),
                 return_exceptions=True,
             )
 
@@ -109,6 +110,7 @@ class TestFailurePaths:
         async def main():
             await coalescer.close()
             with pytest.raises(RuntimeError):
-                await coalescer.submit(_job(UNDECIDED))
+                job = _job(UNDECIDED)
+                await coalescer.submit(job, job.cache_key())
 
         asyncio.run(main())

@@ -102,7 +102,7 @@ class TestOutcomePayload:
             {"banks": 8, "bank_cycle": 4, "streams": [[0, 1]]}
         )
         out = run(job, backend="fast")
-        body = outcome_to_payload(job, out, tier="simulated")
+        body = outcome_to_payload(out, key=job.cache_key(), tier="simulated")
         assert body["bandwidth"] == "1/1"
         assert body["bandwidth_float"] == 1.0
         assert body["tier"] == "simulated"
@@ -166,6 +166,6 @@ class TestPolicyFieldsOnTheWire:
             {**self.BASE, "regulate": ["stream:0=1/4"]}
         )
         out = run(job, backend="fast")
-        body = outcome_to_payload(job, out, tier="simulated")
+        body = outcome_to_payload(out, key=job.cache_key(), tier="simulated")
         assert body["bandwidth"] == "1/2"
         assert "reg:stream:0=1/4" in body["key"]

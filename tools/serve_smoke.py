@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """CI smoke for the bandwidth-oracle service (docs/SERVICE.md).
 
-Boots ``repro-mem serve`` as a real subprocess on a free port, then
-checks the contract end to end:
+Boots ``repro-mem serve -m 8 -c 4 --store DIR --precompute 1-3`` as a
+real subprocess on a free port, then checks the contract end to end:
 
 * ``POST /v1/beff`` on a Theorem-1 point returns the **exact**
   Fraction-derived value (``m=8, n_c=4, d=4`` -> ``1/2``) from the
   analytic lookup tier;
-* ``POST /v1/beff`` on an undecided pair simulates and is exact too;
+* an undecided pair inside the precomputed stride range answers from
+  the executor's ``memo`` without simulating;
+* an undecided pair outside it simulates (exact too), and its repeat
+  answers ``memo``;
 * malformed bodies come back ``400`` (never ``500``);
 * ``GET /metrics`` exposes a populated per-endpoint latency histogram
   under the documented ``serve.*`` names;
@@ -29,6 +32,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -42,6 +46,8 @@ ANALYTIC_EXPECTED = "1/2"
 #: Undecided by every closed form: exercises the simulation drain.
 SIMULATED_POINT = {"banks": 8, "bank_cycle": 4, "streams": [[0, 4], [0, 4]]}
 SIMULATED_EXPECTED = "1/2"
+#: Undecided, and one of the ``--precompute 1-3`` jobs (strides 1 and 3).
+PRECOMPUTED_POINT = {"banks": 8, "bank_cycle": 4, "streams": [[0, 1], [1, 3]]}
 
 
 def _post(base: str, path: str, obj: object) -> tuple[int, dict]:
@@ -81,8 +87,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="seconds to wait for server readiness")
     args = parser.parse_args(argv)
 
+    with tempfile.TemporaryDirectory() as store:
+        return _smoke(args, store)
+
+
+def _smoke(args: argparse.Namespace, store: str) -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
+         "-m", "8", "-c", "4", "--store", store, "--precompute", "1-3",
          "--host", "127.0.0.1", "--port", "0"],
         cwd=ROOT,
         env={**__import__("os").environ, "PYTHONPATH": str(ROOT / "src")},
@@ -115,11 +127,22 @@ def main(argv: list[str] | None = None) -> int:
         assert beff["tier"] == "analytic", beff
         artifact["beff_analytic"] = beff
 
+        status, pre = _post(base, "/v1/beff", PRECOMPUTED_POINT)
+        assert status == 200, (status, pre)
+        assert pre["tier"] == "memo", pre
+        artifact["beff_precomputed"] = pre
+
         status, sim = _post(base, "/v1/beff", SIMULATED_POINT)
         assert status == 200, (status, sim)
         assert sim["bandwidth"] == SIMULATED_EXPECTED, sim
         assert sim["tier"] == "simulated", sim
         artifact["beff_simulated"] = sim
+
+        status, again = _post(base, "/v1/beff", SIMULATED_POINT)
+        assert status == 200, (status, again)
+        assert again["bandwidth"] == SIMULATED_EXPECTED, again
+        assert again["tier"] == "memo", again
+        artifact["beff_repeat"] = again
 
         status, bad = _post(base, "/v1/sweep", {"jobs": "nope"})
         assert status == 400, (status, bad)
