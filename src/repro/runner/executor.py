@@ -44,7 +44,7 @@ from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..obs import trace as _trace
 from .api import run
-from .job import SimJob, SimOutcome
+from .job import PAYLOAD_ERRORS, SimJob, SimOutcome
 from .resilience import (
     FailedOutcome,
     RetryPolicy,
@@ -114,6 +114,19 @@ def _execute_payload_batch(
 
     chaos_crash_point(jobs)
     return [o.to_payload() for o in resolve_backend(backend).run_batch(jobs)]
+
+
+def _decode_stored(
+    store: ResultStore, job: SimJob, key: str, payload: dict
+) -> SimOutcome | None:
+    """``payload``, read from ``store`` for ``key``, as an outcome for
+    ``job``; ``None`` after quarantining it if it cannot be decoded, so
+    the job re-runs and its entry is rewritten."""
+    try:
+        return SimOutcome.from_payload(job, payload)
+    except PAYLOAD_ERRORS as exc:
+        store.quarantine(key, f"undecodable payload ({exc!r})")
+        return None
 
 
 class SweepExecutor:
@@ -237,8 +250,10 @@ class SweepExecutor:
         if self._store is not None:
             payload = self._store.get(key)
             if payload is not None:
-                self._insert({key: payload})
-                return SimOutcome.from_payload(job, payload), "store"
+                outcome = _decode_stored(self._store, job, key, payload)
+                if outcome is not None:
+                    self._insert({key: payload})
+                    return outcome, "store"
         return None
 
     def _run_batch(
@@ -270,7 +285,9 @@ class SweepExecutor:
                 else:
                     fresh[key] = job
 
-        ran, failed = self._execute(fresh, backend) if fresh else ({}, {})
+        ran, stored, failed = (
+            self._execute(fresh, backend) if fresh else ({}, {}, {})
+        )
 
         out: list[SimOutcome] = []
         # Each payload is decoded once per key; isomorphic twins get
@@ -285,10 +302,16 @@ class SweepExecutor:
             elif key in decoded:
                 out.append(decoded[key].for_job(job))
             else:
-                # Every key ran (or was served by the store) or is held;
-                # an explicit check, so a falsy payload never falls through.
-                payload = ran[key] if key in ran else held[key]
-                decoded[key] = outcome = SimOutcome.from_payload(job, payload)
+                # The key's first job.  A store hit was decoded for this
+                # job when it was read; every other key ran or is held
+                # (an explicit check, so a falsy payload never falls
+                # through).
+                if key in stored:
+                    outcome = stored[key]
+                else:
+                    payload = ran[key] if key in ran else held[key]
+                    outcome = SimOutcome.from_payload(job, payload)
+                decoded[key] = outcome
                 out.append(outcome)
         return out
 
@@ -304,20 +327,29 @@ class SweepExecutor:
 
     def _execute(
         self, fresh: dict[str, SimJob], backend: str | None
-    ) -> tuple[dict[str, dict], dict[str, FailedOutcome]]:
-        """Run every fresh job, returning payloads and isolated failures."""
+    ) -> tuple[
+        dict[str, dict], dict[str, SimOutcome], dict[str, FailedOutcome]
+    ]:
+        """Run every fresh job the store cannot answer.  Returns the
+        payloads that ran, the store hits (decoded for ``fresh[key]``)
+        and the isolated failures."""
         items: _Chunk = list(fresh.items())
         ran: dict[str, dict] = {}
+        stored: dict[str, SimOutcome] = {}
         failed: dict[str, FailedOutcome] = {}
         if self._store is not None and items:
             # The shared store is the second cache level: results another
             # executor (or a previous sweep) already published count as
             # hits, not executions.
-            served = self._store.get_many(key for key, _ in items)
+            served: dict[str, dict] = {}
+            for key, payload in self._store.get_many(k for k, _ in items).items():
+                outcome = _decode_stored(self._store, fresh[key], key, payload)
+                if outcome is not None:
+                    served[key] = payload
+                    stored[key] = outcome
             if served:
                 self.stats.hits += len(served)
-                self._insert(dict(served))
-                ran.update(served)
+                self._insert(served)
                 items = [(k, j) for k, j in items if k not in served]
         self.stats.executed += len(items)
         if items:
@@ -335,7 +367,7 @@ class SweepExecutor:
         if failed and self.retry is not None and self.retry.strict:
             # The work that did succeed is already banked (memo, store).
             raise SweepFailureError(list(failed.values()))
-        return ran, failed
+        return ran, stored, failed
 
     def _finish_chunk(
         self, chunk: _Chunk, payloads: list[dict], ran: dict[str, dict]

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from ..core.isomorphism import stabilizer_units
 from ..memory.config import MemoryConfig
@@ -205,56 +206,12 @@ class SimJob:
     # ------------------------------------------------------------------
     # Canonicalization (Appendix isomorphism)
     # ------------------------------------------------------------------
-    def _renumbering_safe(self) -> bool:
-        """Whether bank renumberings preserve this job's conflicts.
-
-        A unit renumbering ``j -> k·j`` (and a translation ``j -> j + c``)
-        preserves bank-busy structure always, and the same-section
-        relation exactly when the mapping is the paper's cyclic
-        ``k = j mod s`` (``j1 ≡ j2 (mod s)`` is invariant because
-        ``gcd(k, s) = 1`` follows from ``s | m``) or when ``s = m``
-        (sections degenerate to banks).  Cheung & Smith's consecutive
-        grouping is *not* renumbering-invariant.
-
-        A regulator pinned to a specific bank (``bank:IDX=...``) also
-        breaks the symmetry — renumbering moves the throttled bank;
-        uniform and per-stream regulators are invariant.
-        """
-        if self.section_mapping != "cyclic" and self.effective_sections != self.banks:
-            return False
-        if self.regulate:
-            from ..sim.arbiter import regulation_renumbering_safe
-
-            return regulation_renumbering_safe(self.regulate)
-        return True
-
-    def _canonical_parts(
-        self,
-    ) -> tuple[
-        tuple[tuple[int, int], ...], str, str | None, str | None, tuple[str, ...]
-    ]:
-        """Canonical ``(streams, priority, intra_priority, arbiter,
-        regulate)``, computed straight from the fields.
-
-        The one computation behind :meth:`canonical` and
-        :meth:`cache_key`: it builds no intermediate job, so the fields
-        are validated once, when this job was built, and never again.
-        """
-        arbiter, regulate = self.arbiter, self.regulate
-        if arbiter is not None or regulate:
-            from ..sim.arbiter import canonical_arbiter, canonical_regulation
-
-            arbiter = canonical_arbiter(arbiter, len(self.streams))
-            regulate = canonical_regulation(regulate)
-        intra = self.intra_priority
-        return (
-            _canonical_streams(self.banks, self.streams)
-            if self._renumbering_safe()
-            else self.streams,
-            _priority_spelling(self.priority),
-            None if intra is None else _priority_spelling(intra),
-            arbiter,
-            regulate,
+    def _frame(self) -> "_Frame":
+        """This job's identity minus its streams (cached per job shape)."""
+        return _shape_frame(
+            self.banks, self.bank_cycle, self.sections, self.section_mapping,
+            self.cpus, self.priority, self.intra_priority, self.arbiter,
+            self.regulate, self.steady, self.cycles,
         )
 
     def canonical(self) -> "SimJob":
@@ -274,42 +231,126 @@ class SimJob:
         form of :meth:`cache_key`, which computes the same identity
         without building it.
         """
-        streams, priority, intra, arbiter, regulate = self._canonical_parts()
+        frame = self._frame()
         return replace(
             self,
-            sections=self.effective_sections,
-            streams=streams,
-            priority=priority,
-            intra_priority=intra,
-            arbiter=arbiter,
-            regulate=regulate,
+            sections=frame.sections,
+            streams=_canonical_streams(self.banks, self.streams)
+            if frame.renumbering_safe
+            else self.streams,
+            priority=frame.priority,
+            intra_priority=frame.intra_priority,
+            arbiter=frame.arbiter,
+            regulate=frame.regulate,
             trace=False,
             max_cycles=1_000_000,
         )
 
     def cache_key(self) -> str:
         """Stable string identity of the canonical job (cache key)."""
-        streams, priority, intra, arbiter, regulate = self._canonical_parts()
-        mode = "steady" if self.steady else f"cycles={self.cycles}"
-        key = (
-            f"m{self.banks}c{self.bank_cycle}s{self.effective_sections}"
-            f"@{self.section_mapping}"
-            f"|{','.join([f'{b}:{d}' for b, d in streams])}"
-            f"|cpu{','.join([str(c) for c in self.cpus])}"
-            f"|{priority}/{'~' if intra is None else intra}|{mode}"
+        frame = self._frame()
+        streams = (
+            _canonical_streams(self.banks, self.streams)
+            if frame.renumbering_safe
+            else self.streams
         )
-        # Policy segments only when non-default, so every pre-arbiter
-        # cache key (and result-store entry) stays byte-identical.
-        if arbiter is not None:
-            key += f"|arb:{arbiter}"
-        if regulate:
-            key += f"|reg:{';'.join(regulate)}"
-        return key
+        return (
+            frame.prefix
+            + ",".join([f"{b}:{d}" for b, d in streams])
+            + frame.suffix
+        )
 
     def describe(self) -> str:
         """One-line human summary for logs and benchmark headers."""
         streams = " ".join(f"{b}:{d}" for b, d in self.streams)
         return f"{self.config.describe()}; streams {streams}; cpus {self.cpus}"
+
+
+class _Frame(NamedTuple):
+    """A job's identity minus its streams: the :meth:`SimJob.cache_key`
+    text around the canonical streams, and the canonical field values
+    :meth:`SimJob.canonical` writes back."""
+
+    prefix: str
+    suffix: str
+    sections: int
+    priority: str
+    intra_priority: str | None
+    arbiter: str | None
+    regulate: tuple[str, ...]
+    renumbering_safe: bool
+
+
+@lru_cache(maxsize=4096)
+def _shape_frame(
+    banks: int,
+    bank_cycle: int,
+    sections: int | None,
+    section_mapping: str,
+    cpus: tuple[int, ...],
+    priority: str,
+    intra_priority: str | None,
+    arbiter: str | None,
+    regulate: tuple[str, ...],
+    steady: bool,
+    cycles: int | None,
+) -> _Frame:
+    """The :class:`_Frame` of every job with these non-stream fields.
+
+    A sweep submits many jobs of one shape (the stride-pair census has
+    four shapes for 12,437 jobs), so the frame is computed once per
+    shape.  ``lru_cache`` is thread-safe, so the serve event loop and
+    its drain thread may key jobs concurrently, and it matches
+    arguments by ``==``, the equality :class:`SimJob` itself uses: a
+    hit can only join jobs that already compare equal.
+
+    The renumbering-safe flag says whether bank renumberings preserve
+    the job's conflicts.  A unit renumbering ``j -> k·j`` (and a
+    translation ``j -> j + c``) preserves bank-busy structure always,
+    and the same-section relation exactly when the mapping is the
+    paper's cyclic ``k = j mod s`` (``j1 ≡ j2 (mod s)`` is invariant
+    because ``gcd(k, s) = 1`` follows from ``s | m``) or when ``s = m``
+    (sections degenerate to banks).  Cheung & Smith's consecutive
+    grouping is *not* renumbering-invariant.  A regulator pinned to a
+    specific bank (``bank:IDX=...``) also breaks the symmetry —
+    renumbering moves the throttled bank; uniform and per-stream
+    regulators are invariant.
+    """
+    effective = banks if sections is None else sections
+    safe = section_mapping == "cyclic" or effective == banks
+    if arbiter is not None or regulate:
+        from ..sim.arbiter import (
+            canonical_arbiter,
+            canonical_regulation,
+            regulation_renumbering_safe,
+        )
+
+        arbiter = canonical_arbiter(arbiter, len(cpus))
+        regulate = canonical_regulation(regulate)
+        safe = safe and regulation_renumbering_safe(regulate)
+    priority = _priority_spelling(priority)
+    intra = None if intra_priority is None else _priority_spelling(intra_priority)
+    mode = "steady" if steady else f"cycles={cycles}"
+    suffix = (
+        f"|cpu{','.join([str(c) for c in cpus])}"
+        f"|{priority}/{'~' if intra is None else intra}|{mode}"
+    )
+    # Policy segments only when non-default, so every pre-arbiter
+    # cache key (and result-store entry) stays byte-identical.
+    if arbiter is not None:
+        suffix += f"|arb:{arbiter}"
+    if regulate:
+        suffix += f"|reg:{';'.join(regulate)}"
+    return _Frame(
+        prefix=f"m{banks}c{bank_cycle}s{effective}@{section_mapping}|",
+        suffix=suffix,
+        sections=effective,
+        priority=priority,
+        intra_priority=intra,
+        arbiter=arbiter,
+        regulate=regulate,
+        renumbering_safe=safe,
+    )
 
 
 def _canonical_streams(
@@ -324,15 +365,17 @@ def _canonical_streams(
     is scanned, and only the remaining streams are compared.  A single
     stream needs no scan at all.
     """
-    (b0, d0), *rest = streams
-    head = (0, math.gcd(m, d0) % m)
-    if not rest:
-        return (head,)
-    rel = [(b - b0, d) for b, d in rest]
-    return (head, *min(
-        tuple([((b * k) % m, (d * k) % m) for b, d in rel])
-        for k in stabilizer_units(m, d0)
-    ))
+    b0, d0 = streams[0]
+    if len(streams) == 1:
+        return ((0, math.gcd(m, d0) % m),)
+    units = stabilizer_units(m, d0)
+    head = (0, d0 * units[0] % m)  # the same for every unit of the coset
+    # images[i][j] is stream i + 2 under unit j, so zip yields each
+    # unit's candidate tuple.
+    images = [
+        [((b - b0) * k % m, d * k % m) for k in units] for b, d in streams[1:]
+    ]
+    return (head, *min(zip(*images)))
 
 
 def _priority_spelling(name: str) -> str:
@@ -344,6 +387,12 @@ def _priority_spelling(name: str) -> str:
     from ..sim.priority import parse_priority
 
     return f"block-cyclic:{parse_priority(name)[1]}"
+
+
+#: What :meth:`SimOutcome.from_payload` raises on a malformed payload: a
+#: missing field, a field of the wrong shape, or a bandwidth that is not
+#: a ``"num/den"`` string of integers with a nonzero denominator.
+PAYLOAD_ERRORS = (KeyError, ValueError, ZeroDivisionError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,17 +470,37 @@ class SimOutcome:
 
         Valid for any job in the payload's isomorphism class: the
         Appendix renumbering preserves per-port grants, period and
-        transient length exactly.
+        transient length exactly.  A malformed payload raises one of
+        :data:`PAYLOAD_ERRORS`: ``bandwidth`` must be a string, ``grants``
+        a list of one int per port, ``cycles`` an int and ``period`` and
+        ``steady_start`` ints or ``None``.
         """
-        num, den = payload["bandwidth"].split("/")
+        bandwidth, period, grants, start, cycles = (
+            payload["bandwidth"],
+            payload["period"],
+            payload["grants"],
+            payload["steady_start"],
+            payload["cycles"],
+        )
+        if not (
+            isinstance(bandwidth, str)
+            and isinstance(grants, list)
+            and len(grants) == job.n_ports
+            and all([isinstance(g, int) for g in grants])
+            and isinstance(cycles, int)
+            and (period is None or isinstance(period, int))
+            and (start is None or isinstance(start, int))
+        ):
+            raise ValueError(f"malformed outcome payload {payload!r}")
+        num, den = bandwidth.split("/")
         return cls(
             job=job,
             backend=f"cache:{payload['backend']}",
             bandwidth=Fraction(int(num), int(den)),
-            period=payload["period"],
-            grants=tuple(payload["grants"]),
-            steady_start=payload["steady_start"],
-            cycles=payload["cycles"],
+            period=period,
+            grants=tuple(grants),
+            steady_start=start,
+            cycles=cycles,
         )
 
     def for_job(self, job: SimJob) -> "SimOutcome":

@@ -17,7 +17,12 @@ sweeps over one directory — so it is a directory of *per-key* files:
   at most a stray ``*.tmp*`` file, never a truncated entry.
 * **Quarantine on corruption** — an unreadable or version-mismatched
   payload file is moved aside to ``<file>.corrupt`` and reads as a
-  miss, so the executor simply re-runs that job and rewrites it.
+  miss, so the executor simply re-runs that job and rewrites it.  The
+  executor also calls :meth:`ResultStore.quarantine` on a payload it
+  cannot decode into an outcome.
+* **Plain-path reads** — a read is one binary ``open`` of a path built
+  with :func:`os.path.join`; :meth:`ResultStore.path_for` gives the
+  same path as a :class:`~pathlib.Path`.
 
 The store holds JSON payloads (:meth:`repro.runner.job.SimOutcome.
 to_payload` dicts — exact ``Fraction`` values survive the round trip)
@@ -43,8 +48,11 @@ __all__ = ["ResultStore"]
 _STORE_VERSION = 1
 
 
-def _digest(key: str) -> str:
-    return hashlib.sha256(key.encode()).hexdigest()
+def _read(file: str | os.PathLike[str]) -> object:
+    """One payload file's JSON (raises ``OSError`` or ``ValueError``),
+    read whole in one unbuffered call: a buffer would only add a copy."""
+    with open(file, "rb", buffering=0) as handle:
+        return json.loads(handle.read())
 
 
 class ResultStore:
@@ -52,6 +60,7 @@ class ResultStore:
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
+        self._root = os.fspath(self.root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -65,8 +74,12 @@ class ResultStore:
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         """Where the payload file for ``key`` lives (may not exist)."""
-        digest = _digest(key)
-        return self.root.joinpath(digest[:2], f"{digest}.json")
+        return Path(self._file(key))
+
+    def _file(self, key: str) -> str:
+        """:meth:`path_for` as a plain string (reads skip pathlib)."""
+        digest = hashlib.sha256(key.encode()).hexdigest()
+        return os.path.join(self._root, digest[:2], digest + ".json")
 
     # ------------------------------------------------------------------
     # Reads
@@ -103,7 +116,7 @@ class ResultStore:
         return found
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        return os.path.exists(self._file(key))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -124,7 +137,7 @@ class ResultStore:
         """
         for file in sorted(self.root.glob("??/*.json")):
             try:
-                data = json.loads(file.read_text())
+                data = _read(file)
             except (OSError, ValueError):
                 continue
             if (
@@ -136,32 +149,34 @@ class ResultStore:
                 yield data["key"], data["payload"]
 
     def _load(self, key: str) -> dict | None:
-        path = self.path_for(key)
         try:
-            data = json.loads(path.read_text())
+            data = _read(self._file(key))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:
-            self._quarantine(path, f"unreadable payload file ({exc})")
+            self.quarantine(key, f"unreadable payload file ({exc})")
             return None
         if (
             not isinstance(data, dict)
             or data.get("version") != _STORE_VERSION
             or not isinstance(data.get("payload"), dict)
         ):
-            self._quarantine(path, "malformed or version-mismatched payload")
+            self.quarantine(key, "malformed or version-mismatched payload")
             return None
         return data["payload"]
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        target = path.with_suffix(path.suffix + ".corrupt")
+    def quarantine(self, key: str, reason: str) -> None:
+        """Move ``key``'s file aside to ``<file>.corrupt`` and warn, so
+        the entry reads as a miss and its job re-runs and rewrites it."""
+        file = self._file(key)
+        target = file + ".corrupt"
         try:
-            path.replace(target)
+            os.replace(file, target)
             where = f"quarantined to {target}"
         except OSError as exc:
             where = f"could not quarantine ({exc})"
         warnings.warn(
-            f"result store entry {path}: {reason}; {where}; "
+            f"result store entry {file}: {reason}; {where}; "
             "treating as a miss",
             RuntimeWarning,
             stacklevel=4,
@@ -189,8 +204,9 @@ class ResultStore:
             reg.counter(_names.STORE_WRITES).inc(len(payloads))
 
     def _write(self, key: str, payload: Mapping[str, object]) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        file = self._file(key)
+        directory = os.path.dirname(file)
+        os.makedirs(directory, exist_ok=True)
         body = json.dumps(
             {"version": _STORE_VERSION, "key": key, "payload": dict(payload)},
             separators=(",", ":"),
@@ -198,12 +214,12 @@ class ResultStore:
         # A unique temp file per writer: concurrent sweeps publishing
         # the same key race only on the final rename, which is atomic.
         fd, tmp = tempfile.mkstemp(
-            prefix=path.name, suffix=".tmp", dir=path.parent
+            prefix=os.path.basename(file), suffix=".tmp", dir=directory
         )
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(body)
-            os.replace(tmp, path)
+            os.replace(tmp, file)
         except BaseException:
             try:
                 os.unlink(tmp)

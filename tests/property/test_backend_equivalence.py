@@ -131,7 +131,7 @@ class TestCanonicalizationSoundness:
         from math import gcd
 
         m = job.banks
-        if gcd(k, m) != 1 or not job._renumbering_safe():
+        if gcd(k, m) != 1 or not job._frame().renumbering_safe:
             return
         mapped = SimJob(
             banks=m,

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.memory.config import MemoryConfig
 from repro.runner import ResultStore, SimJob, SweepExecutor, jobs_for_offsets
+from repro.runner import job as job_mod
 
 CFG = MemoryConfig(banks=12, bank_cycle=3)
 
@@ -133,6 +138,17 @@ GOLDEN_KEYS = [
         "m12c3s4@consecutive|3:5,7:2|cpu0,0|fixed/~|steady",
     ),
     (
+        # s = m: sections degenerate to banks, so renumbering is safe.
+        SimJob.from_specs(
+            MemoryConfig(
+                banks=12, bank_cycle=3, sections=12, section_mapping="consecutive"
+            ),
+            [(3, 5), (7, 2)],
+            cpus=(0, 0),
+        ),
+        "m12c3s12@consecutive|0:1,8:10|cpu0,0|fixed/~|steady",
+    ),
+    (
         SimJob.from_specs(CFG, [(3, 5), (1, 7)], regulate=["bank:2=1/4"]),
         "m12c3s12@cyclic|3:5,1:7|cpu0,1|fixed/~|steady|reg:bank:2=1/4",
     ),
@@ -170,8 +186,9 @@ class TestCacheKeyBytes:
         "job, key",
         GOLDEN_KEYS,
         ids=[
-            "pair", "single", "sections", "consecutive", "pinned-bank",
-            "uniform-bank", "wfq", "three-stream-lru",
+            "pair", "single", "sections", "consecutive",
+            "consecutive-s-eq-m", "pinned-bank", "uniform-bank", "wfq",
+            "three-stream-lru",
         ],
     )
     def test_golden_key(self, job, key):
@@ -211,6 +228,80 @@ class TestCacheKeyBytes:
         assert ex.stats.deduped == 1
         assert second.job is jobs[1]
         assert second.to_payload() == first.to_payload()
+
+
+#: One change per field of the cached per-shape key frame, each chosen
+#: to change the job's identity (steady and cycles change together, and
+#: then cycles alone).
+FRAME_VARIANTS = {
+    "banks": dict(banks=32),
+    "bank_cycle": dict(bank_cycle=6),
+    "sections": dict(sections=8),
+    "section_mapping": dict(section_mapping="consecutive"),
+    "cpus": dict(cpus=(0, 0)),
+    "priority": dict(priority="cyclic"),
+    "intra_priority": dict(intra_priority="fixed"),
+    "arbiter": dict(arbiter="wfq:2,1"),
+    "regulate": dict(regulate=("stream=1/4",)),
+    "steady-cycles": dict(steady=False, cycles=100),
+    "cycles": dict(steady=False, cycles=200),
+}
+
+
+class TestFrameCache:
+    """cache_key() reads every field but the streams from a frame cached
+    per job shape; a cached frame must never answer for another shape."""
+
+    BASE = SimJob.from_specs(
+        MemoryConfig(banks=16, bank_cycle=4, sections=4), [(5, 6), (10, 10)]
+    )
+
+    def _keys(self) -> dict[str, str]:
+        keys = {"base": self.BASE.cache_key()}
+        for name, changes in FRAME_VARIANTS.items():
+            keys[name] = replace(self.BASE, **changes).cache_key()
+            assert self.BASE.cache_key() == keys["base"], name
+        return keys
+
+    def test_each_frame_field_changes_the_key(self):
+        warm = self._keys()
+        assert len(set(warm.values())) == len(warm), warm
+        job_mod._shape_frame.cache_clear()
+        assert self._keys() == warm
+
+    @pytest.mark.parametrize(
+        "changes", [dict(trace=True), dict(max_cycles=77)],
+        ids=["trace", "max_cycles"],
+    )
+    def test_fields_outside_the_identity_share_the_key(self, changes):
+        assert replace(self.BASE, **changes).cache_key() == self.BASE.cache_key()
+
+    def test_concurrent_keying_matches_serial(self):
+        # The serve event loop and its drain thread key jobs at once.
+        # More shapes than the cache holds, so threads also evict.
+        shapes = job_mod._shape_frame.cache_info().maxsize + 500
+        jobs = [replace(self.BASE, bank_cycle=c) for c in range(1, shapes + 1)]
+        job_mod._shape_frame.cache_clear()
+        want = [job.cache_key() for job in jobs]
+        results: dict[int, list[str]] = {}
+
+        def worker(n: int) -> None:
+            shift = n * len(jobs) // 4  # each thread starts elsewhere
+            keys = {job: job.cache_key() for job in jobs[shift:] + jobs[:shift]}
+            results[n] = [keys[job] for job in jobs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {n: want for n in range(4)}
 
 
 class TestJobsForOffsets:

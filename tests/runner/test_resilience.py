@@ -343,6 +343,75 @@ class TestCrashSafeCache:
             "malformed",
         )
 
+    @staticmethod
+    def _store_with_bad_payload(tmp_path, field="bandwidth", value="oops"):
+        """A filled store whose entry for ``_jobs()[0]`` is a well-formed
+        file with a payload the decoder rejects (``value=None`` drops
+        ``field``)."""
+        store = ResultStore(tmp_path / "store")
+        SweepExecutor(backend="fast", store_path=store.root).run_many(_jobs())
+        path = store.path_for(_jobs()[0].cache_key())
+        data = json.loads(path.read_text())
+        if value is None:
+            del data["payload"][field]
+        else:
+            data["payload"][field] = value
+        path.write_text(json.dumps(data))
+        return store, path
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth", "oops"),
+            ("bandwidth", "1/0"),
+            ("bandwidth", 0.75),
+            ("grants", 3),
+            ("grants", [5]),
+            ("period", "x"),
+            ("period", None),
+        ],
+        ids=[
+            "not-a-ratio",
+            "zero-denominator",
+            "float",
+            "grants-int",
+            "grants-wrong-arity",
+            "period-str",
+            "missing",
+        ],
+    )
+    def test_undecodable_payload_quarantined(self, tmp_path, field, value):
+        # Such an entry used to make every rerun raise; now its job
+        # re-runs exactly and the entry is rewritten.
+        jobs = _jobs()
+        store, path = self._store_with_bad_payload(tmp_path, field, value)
+        clean = [o.to_payload() for o in _clean_outcomes()]
+        ex = SweepExecutor(backend="fast", store_path=store.root)
+        with pytest.warns(RuntimeWarning, match="undecodable"):
+            outs = ex.run_many(jobs)
+        assert ex.stats.executed == 1
+        assert [o.job for o in outs] == jobs
+        assert [o.to_payload() for o in outs] == clean
+        assert path.with_suffix(".json.corrupt").exists()
+        warm = SweepExecutor(backend="fast", store_path=store.root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the rewrite is clean
+            assert [o.to_payload() for o in warm.run_many(jobs)] == clean
+        assert warm.stats.executed == 0
+
+    def test_peek_quarantines_undecodable_payload(self, tmp_path):
+        job = _jobs()[0]
+        key = job.cache_key()
+        store, path = self._store_with_bad_payload(tmp_path)
+        ex = SweepExecutor(backend="fast", store_path=store.root)
+        with pytest.warns(RuntimeWarning, match="undecodable"):
+            assert ex.peek(job, key) is None
+        assert len(ex) == 0  # never memoized
+        assert path.with_suffix(".json.corrupt").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ex.peek(job, key) is None  # now a plain miss
+
     def test_quarantine_then_rebuild_roundtrips(self, tmp_path):
         store = self._sweep_over_bad_entry(
             tmp_path, lambda text: "garbage", "unreadable"
@@ -496,7 +565,7 @@ class TestFalsyPayloadRegression:
         ex = SweepExecutor(backend="fast", max_memo=1)
         monkeypatch.setattr(
             ex, "_execute",
-            lambda fresh, backend: ({k: {} for k in fresh}, {}),
+            lambda fresh, backend: ({k: {} for k in fresh}, {}, {}),
         )
         monkeypatch.setattr(executor_mod, "SimOutcome", StubOutcome)
         outs = ex.run_many([job])

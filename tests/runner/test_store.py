@@ -102,6 +102,21 @@ class TestQuarantine:
         assert not path.exists()
         assert path.with_suffix(path.suffix + ".corrupt").exists()
 
+    @pytest.mark.parametrize(
+        "body", [b"", b'{"version": 1, "key": "k", "payload": "\xff\xfe"}'],
+        ids=["zero-byte", "invalid-utf8"],
+    )
+    def test_undecodable_bytes_read_as_miss(self, tmp_path, body):
+        store = ResultStore(tmp_path)
+        path = store.path_for("k")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(body)
+        assert list(store.items()) == []  # the bulk read skips it
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert store.get("k") is None
+        assert not path.exists()
+        assert path.with_suffix(path.suffix + ".corrupt").read_bytes() == body
+
     def test_version_mismatch_quarantines(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("k", {"v": 1})

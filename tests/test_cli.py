@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -302,6 +303,32 @@ class TestStoreFlag:
         assert rc == 2
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_census_rerun_over_an_undecodable_entry(self, tmp_path, capsys):
+        # A stored payload the decoder rejects used to make every rerun
+        # exit 2; it is quarantined and its job re-runs instead.
+        store = tmp_path / "store"
+        argv = [
+            "census", "-m", "8", "-c", "2", "--observed", "--store", str(store),
+        ]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        entry = next(store.glob("??/*.json"))
+        data = json.loads(entry.read_text())
+        data["payload"]["bandwidth"] = "oops"
+        entry.write_text(json.dumps(data))
+        with pytest.warns(RuntimeWarning, match="undecodable"):
+            assert main(argv) == 0
+        rerun = capsys.readouterr().out
+        assert ", 1 executed" in rerun
+
+        def table(out: str) -> list[str]:
+            return [
+                line for line in out.splitlines()
+                if not line.startswith("executor:")
+            ]
+
+        assert table(rerun) == table(clean)
 
 
 class TestDuel:
