@@ -40,49 +40,52 @@ Quick start::
     Fraction(2, 1)
 """
 
-from .core import (
-    INFINITE,
-    AccessStream,
-    PairClassification,
-    PairRegime,
-    SingleStreamPrediction,
-    barrier_bandwidth,
-    barrier_possible,
-    canonical_pair,
-    classify_pair,
-    conflict_free_possible,
-    disjoint_sets_possible,
-    loop_distance,
-    predict_single,
-    return_number,
-    single_stream_bandwidth,
-    unique_barrier,
-)
-from .memory import (
-    CRAY_XMP_16,
-    FIG2_CONFIG,
-    FIG3_CONFIG,
-    FIG5_CONFIG,
-    FIG7_CONFIG,
-    FIG8_CONFIG,
-    MemoryConfig,
-    triad_common_block,
-)
-from .runner import (
-    SimJob,
-    SimOutcome,
-    SweepExecutor,
-    default_executor,
-    run,
-)
-from .sim import (
-    ConflictKind,
-    Engine,
-    ObservedRegime,
-    SimulationResult,
-    simulate_pair,
-    simulate_streams,
-)
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of __getattr__ below
+    from .core import (
+        INFINITE,
+        AccessStream,
+        PairClassification,
+        PairRegime,
+        SingleStreamPrediction,
+        barrier_bandwidth,
+        barrier_possible,
+        canonical_pair,
+        classify_pair,
+        conflict_free_possible,
+        disjoint_sets_possible,
+        loop_distance,
+        predict_single,
+        return_number,
+        single_stream_bandwidth,
+        unique_barrier,
+    )
+    from .memory import (
+        CRAY_XMP_16,
+        FIG2_CONFIG,
+        FIG3_CONFIG,
+        FIG5_CONFIG,
+        FIG7_CONFIG,
+        FIG8_CONFIG,
+        MemoryConfig,
+        triad_common_block,
+    )
+    from .runner import (
+        SimJob,
+        SimOutcome,
+        SweepExecutor,
+        default_executor,
+        run,
+    )
+    from .sim import (
+        ConflictKind,
+        Engine,
+        ObservedRegime,
+        SimulationResult,
+        simulate_pair,
+        simulate_streams,
+    )
 
 __version__ = "1.0.0"
 
@@ -124,3 +127,27 @@ __all__ = [
     "unique_barrier",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a re-export on first access (PEP 562).
+
+    ``import repro`` — and with it every ``import repro.<module>``, the
+    CLI and the service included — imports no subpackage until one of
+    the ``__all__`` names is read.
+    """
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import core, memory, runner, sim
+
+    value = next(
+        getattr(home, name)
+        for home in (core, memory, runner, sim)
+        if name in home.__all__
+    )
+    globals()[name] = value  # later reads bypass this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

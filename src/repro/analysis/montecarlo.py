@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ..memory.config import MemoryConfig
 from ..runner import SimJob, SweepExecutor, default_executor
 
@@ -70,6 +68,8 @@ def sample_environments(
         raise ValueError("need at least one stride")
     if samples <= 0:
         raise ValueError("sample count must be positive")
+    import numpy as np  # only the sampler needs it
+
     m = config.banks
     rng = np.random.default_rng(seed)
     cpus = [0] * len(strides) if same_cpu else list(range(len(strides)))

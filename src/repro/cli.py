@@ -25,22 +25,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import RetryPolicy
 
-from .analysis.atlas import stride_atlas
-from .analysis.report import fraction_str, triad_report
-from .core.classify import classify_pair
-from .core.single import predict_single
-from .core.stream import AccessStream
-from .machine.xmp import triad_sweep
+# Each command imports its own stack (analysis, machine, engine, viz)
+# when it runs, so `serve` and the short commands load only what they use.
 from .memory.config import MemoryConfig
 from .runner import available_backends
-from .sim.engine import simulate_streams
-from .viz.ascii_trace import render_result
-from .viz.tables import format_table
 
 __all__ = ["main", "build_parser", "serve_main"]
 
@@ -69,6 +62,19 @@ def _parse_stream(spec: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"stream spec must be START:STRIDE, got {spec!r}"
         ) from exc
+
+
+def _parse_port(spec: str) -> int:
+    """A TCP port: ``0`` (any free port) through ``65535``."""
+    try:
+        port = int(spec)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"port must be an integer in 0-65535, got {spec!r}"
+        )
+    return port
 
 
 def _add_memory_args(p: argparse.ArgumentParser) -> None:
@@ -182,13 +188,45 @@ def _memory(args: argparse.Namespace) -> MemoryConfig:
     )
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser whose arguments may be attached on first use:
+    ``lint``'s are, so no other command imports reprolint."""
+
+    attach: Callable[[argparse.ArgumentParser], None] | None = None
+
+    def _attached(self) -> None:
+        if self.attach is not None:
+            attach, self.attach = self.attach, None
+            attach(self)
+
+    def parse_known_args(self, *args, **kwargs):
+        self._attached()
+        return super().parse_known_args(*args, **kwargs)
+
+    def format_usage(self) -> str:
+        self._attached()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._attached()
+        return super().format_help()
+
+
+def _add_lint_arguments(p: argparse.ArgumentParser) -> None:
+    from .lint.cli import add_lint_arguments
+
+    add_lint_arguments(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mem",
         description="Interleaved-memory bandwidth analysis "
         "(Oed & Lange 1985 reproduction)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     p = sub.add_parser("classify", help="analytic regime of a stride pair")
     _add_memory_args(p)
@@ -262,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_memory_args(p)
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8080,
+    p.add_argument("--port", type=_parse_port, default=8080,
                    help="bind port; 0 picks a free one (default 8080)")
     p.add_argument("--backend", choices=list(available_backends()),
                    default="auto",
@@ -287,13 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint", help="static invariant analysis (reprolint)"
     )
-    from .lint.cli import add_lint_arguments
-
-    add_lint_arguments(p)
+    p.attach = _add_lint_arguments
     return parser
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .analysis.report import fraction_str
+    from .core.classify import classify_pair
+
     cfg = _memory(args)
     s = cfg.effective_sections if cfg.sectioned else None
     cls = classify_pair(cfg.banks, cfg.bank_cycle, args.d1, args.d2, s=s)
@@ -315,6 +354,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_single(args: argparse.Namespace) -> int:
+    from .analysis.report import fraction_str
+    from .core.single import predict_single
+
     cfg = _memory(args)
     p = predict_single(cfg.banks, args.stride, cfg.bank_cycle)
     print(f"memory: {cfg.describe()}")
@@ -327,6 +369,10 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .analysis.report import fraction_str
+    from .core.stream import AccessStream
+    from .runner import SimJob, SweepExecutor, run
+
     cfg = _memory(args)
     streams = [
         AccessStream(start_bank=b % cfg.banks, stride=d % cfg.banks,
@@ -339,6 +385,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else list(range(len(streams)))
     )
     if args.trace is not None:
+        from .sim.engine import simulate_streams
+        from .viz.ascii_trace import render_result
+
         # Trace rendering needs the reference engine's event log, which
         # SimOutcome does not carry; the steady numbers below still ride
         # the runner.  # reprolint: disable-next=LAYER001
@@ -351,8 +400,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                             show_sections=cfg.sectioned,
                             show_priority=args.show_priority))
         print()
-    from .runner import SimJob, SweepExecutor, run
-
     job = SimJob.from_specs(
         cfg,
         [(b % cfg.banks, d % cfg.banks) for b, d in args.stream],
@@ -381,6 +428,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_triad(args: argparse.Namespace) -> int:
+    from .analysis.report import triad_report
+    from .machine.xmp import triad_sweep
+
     rows = triad_sweep(
         args.inc, other_cpu_active=not args.dedicated, n=args.n
     )
@@ -390,6 +440,10 @@ def _cmd_triad(args: argparse.Namespace) -> int:
 
 
 def _cmd_atlas(args: argparse.Namespace) -> int:
+    from .analysis.atlas import stride_atlas
+    from .analysis.report import fraction_str
+    from .viz.tables import format_table
+
     cfg = _memory(args)
     rows = stride_atlas(cfg, args.strides)
     print(format_table(
@@ -428,6 +482,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     from .analysis.census import regime_census
+    from .viz.tables import format_table
 
     cfg = _memory(args)
     if args.observed:
@@ -461,6 +516,7 @@ def _census_observed(cfg: MemoryConfig, args: argparse.Namespace) -> int:
     from .analysis.report import fraction_str
     from .analysis.sweep import canonical_pairs
     from .runner import SweepExecutor, jobs_for_offsets
+    from .viz.tables import format_table
 
     # The observed census runs on the plain (unsectioned) shape.
     flat = MemoryConfig(banks=cfg.banks, bank_cycle=cfg.bank_cycle)

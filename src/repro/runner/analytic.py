@@ -61,6 +61,13 @@ from .job import SimJob, SimOutcome
 
 __all__ = ["solve", "AnalyticBackend", "AutoBackend"]
 
+#: Smallest analytic-undecided population for which the ``auto`` tier
+#: routes to the batch core: below this the SoA setup cost outweighs
+#: the vectorized stepping (measured on the census shapes).  It lives
+#: here, not in the NumPy-backed :mod:`repro.runner.batchsim` (which
+#: re-exports it), so deciding the tier imports no NumPy.
+BATCH_MIN_POPULATION = 96
+
 
 def _record_decided(theorem: str) -> None:
     """Count one closed-form decision (no-op unless metrics are on)."""
@@ -263,7 +270,6 @@ class AutoBackend:
         amortise its array setup, to scalar fast simulation otherwise.
         Trace jobs always run scalar (the batch core keeps no trace)."""
         from .backends import get_backend
-        from .batchsim import BATCH_MIN_POPULATION
 
         with _trace.span(_names.SPAN_AUTO_RUN_BATCH, jobs=len(jobs)):
             out: list[SimOutcome | None] = []

@@ -43,15 +43,17 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 from fractions import Fraction
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from ..memory.config import MemoryConfig
 from ..obs import metrics as _metrics
 from ..obs import names as _names
 from .analytic import AnalyticBackend, AutoBackend
-from .batchsim import SectCache, run_span_batch, run_steady_batch
 from .fastsim import FlatSim, find_steady_cycle
 from .job import SimJob, SimOutcome
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .batchsim import SectCache
 
 __all__ = [
     "SimBackend",
@@ -270,6 +272,10 @@ class BatchBackend:
         return self.run_batch([job])[0]
 
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimOutcome]:
+        # NumPy loads with the kernel, on its first run, not with the
+        # runner: processes that never batch never import it.
+        from .batchsim import run_span_batch, run_steady_batch
+
         out: list[SimOutcome | None] = [None] * len(jobs)
         errors: dict[int, Exception] = {}
         steady_idx: list[int] = []

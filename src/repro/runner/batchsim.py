@@ -45,6 +45,7 @@ from numpy.typing import NDArray
 from ..memory.config import MemoryConfig
 from ..obs import metrics as _metrics
 from ..obs import names as _names
+from .analytic import BATCH_MIN_POPULATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .job import SimJob
@@ -61,11 +62,6 @@ BoolArray = NDArray[np.bool_]
 #: Shared bank→section tables, keyed by the memory shape triple so a
 #: lookup never has to construct a :class:`MemoryConfig`.
 SectCache = dict[tuple[int, "int | None", str], IntArray]
-
-#: Smallest analytic-undecided population for which the ``auto`` tier
-#: routes to the batch core: below this the SoA setup cost outweighs
-#: the vectorized stepping (measured on the census shapes).
-BATCH_MIN_POPULATION = 96
 
 #: Tail handoff: once fewer than ``max(_TAIL_MIN_LANES, J//16)`` lanes
 #: survive after ``_TAIL_MIN_STEPS`` lockstep steps, the stragglers run

@@ -80,6 +80,21 @@ def preferred_chunk(backend: str | None) -> int:
     return getattr(resolve_backend(backend), "preferred_chunk", 1)
 
 
+def _load_batch_kernel(backend: str | None, chunks: Sequence[_Chunk]) -> None:
+    """Import the NumPy batch kernel before a pool forks when one of its
+    chunks may run it, so forked workers inherit the module instead of
+    each importing NumPy once per pool.  ``auto`` batches only chunks
+    of at least ``BATCH_MIN_POPULATION`` jobs."""
+    from .analytic import BATCH_MIN_POPULATION
+    from .backends import resolve_backend
+
+    name = resolve_backend(backend).name
+    if name == "batch" or (
+        name == "auto" and max(map(len, chunks)) >= BATCH_MIN_POPULATION
+    ):
+        from . import batchsim  # noqa: F401 - imported for its side effect
+
+
 def chunk_size(n_items: int, workers: int, preferred: int) -> int:
     """Pooled chunk size honouring the backend's ``preferred_chunk``.
 
@@ -318,6 +333,7 @@ class PoolScheduler:
         if self.workers == 1 or len(chunks) <= 1:
             runner.run_inline(chunks, ran, failed)
             return ran, failed
+        _load_batch_kernel(runner.backend, chunks)
         with _trace.span(
             _names.SPAN_EXECUTOR_POOL,
             chunks=len(chunks),

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 from fractions import Fraction
 from typing import Awaitable, Callable
@@ -449,13 +450,18 @@ class BandwidthService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(
-        self, host: str = "127.0.0.1", port: int = 0
+        self, host: str = "127.0.0.1", port: int = 0, *,
+        start_serving: bool = True,
     ) -> asyncio.AbstractServer:
-        """Bind the listener and enable the service metrics registry."""
-        _metrics.enable_metrics(self.registry)
+        """Bind the listener and enable the service metrics registry.
+
+        With ``start_serving=False`` the socket is bound but accepts no
+        connection until ``await server.start_serving()``.
+        """
         self._server = await asyncio.start_server(
-            self._handle_client, host, port
+            self._handle_client, host, port, start_serving=start_serving
         )
+        _metrics.enable_metrics(self.registry)
         return self._server
 
     @property
@@ -499,9 +505,19 @@ async def _amain(
             loop.add_signal_handler(sig, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
-    await service.start(host, port)
+    try:
+        server = await service.start(host, port, start_serving=False)
+    except OSError as exc:
+        # asyncio rewords bind failures; report the plain OS cause.
+        cause = exc.strerror or str(exc)
+        if exc.errno is not None and exc.errno > 0:
+            cause = os.strerror(exc.errno)
+        raise ValueError(f"cannot listen on {host}:{port}: {cause}") from exc
+    # Nothing is served until the precompute is done: a drain run_many
+    # must not overlap the precompute's on the one executor.
     if precompute is not None:
         await precompute(service)
+    await server.start_serving()
     announce(f"serving on http://{host}:{service.port}")
     await stop.wait()
     announce("draining")
@@ -525,9 +541,11 @@ def run_server(
     :class:`~repro.runner.store.ResultStore`: repeats of stored keys
     are answered from it, and fresh results are published to it.
     ``precompute_jobs`` runs through the executor in one ``run_many``
-    before the listener is announced, so a ``--precompute`` launch only
-    reports ready once its memo (and store) hold every precomputed
-    point.
+    after the listener is bound and before it serves or is announced,
+    so a ``--precompute`` launch only accepts connections and reports
+    ready once its memo (and store) hold every precomputed point.
+    A listener that cannot bind (address in use, unresolvable host)
+    raises ``ValueError`` naming ``host:port``.
     """
     executor = SweepExecutor(
         backend=backend, workers=workers, store_path=store_path

@@ -417,3 +417,60 @@ class TestHttpServer:
             await service.aclose()
 
         asyncio.run(main())
+
+    def test_nothing_is_served_until_the_precompute_is_done(self):
+        # A drain run_many must never overlap the precompute's on the one
+        # executor, so the listener accepts no connection before it ends.
+        from repro.serve.app import _amain
+
+        async def answers(port):
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+            except ConnectionRefusedError:
+                return False
+            writer.write(self._http("GET", "/healthz"))
+            await writer.drain()
+            try:
+                return bool(await asyncio.wait_for(reader.read(), 0.5))
+            except asyncio.TimeoutError:
+                return False
+            finally:
+                writer.close()
+
+        async def main():
+            service = _service()
+            held, release, ready = (asyncio.Event() for _ in range(3))
+
+            async def precompute(svc):
+                held.set()
+                await release.wait()
+                await asyncio.get_running_loop().run_in_executor(
+                    None, svc.executor.run_many, [job_from_payload(UNDECIDED)]
+                )
+
+            def announce(line):
+                if line.startswith("serving on"):
+                    ready.set()
+
+            task = asyncio.create_task(
+                _amain(service, "127.0.0.1", 0, announce, precompute)
+            )
+            try:
+                await asyncio.wait_for(held.wait(), 10)
+                assert not await answers(service.port)
+                release.set()
+                await asyncio.wait_for(ready.wait(), 30)
+                raw = await self._request(
+                    "127.0.0.1", service.port,
+                    self._http("POST", "/v1/beff", UNDECIDED),
+                )
+                assert json.loads(raw.partition(b"\r\n\r\n")[2])["tier"] == "memo"
+                assert service.executor.stats.executed == 1
+            finally:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+                await service.aclose()
+
+        asyncio.run(main())

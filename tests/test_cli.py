@@ -331,6 +331,46 @@ class TestStoreFlag:
         assert table(rerun) == table(clean)
 
 
+class TestServeListener:
+    @pytest.mark.parametrize("port", ["-5", "70000"])
+    def test_port_out_of_range_exits_2(self, port, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", port])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "port must be an integer in 0-65535" in err
+        assert "Traceback" not in err
+
+    def test_occupied_port_exits_2_with_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            rc = main(["serve", "--host", "127.0.0.1", "--port", str(port)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
+
+    def test_unresolvable_host_exits_2(self, monkeypatch, capsys):
+        import asyncio
+        import socket
+
+        async def unresolvable(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        # Stubbed so the test never queries a resolver.
+        monkeypatch.setattr(asyncio, "start_server", unresolvable)
+        rc = main(["serve", "--host", "nowhere.invalid", "--port", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cannot listen on nowhere.invalid:0: "
+            "Name or service not known\n"
+        )
+
+
 class TestDuel:
     def test_output(self, capsys):
         rc = main(["duel", "1", "3", "--n", "128"])

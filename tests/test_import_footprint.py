@@ -1,0 +1,150 @@
+"""What loads when: each stack is imported by the first code that uses it.
+
+NumPy backs only the lockstep batch kernel, so importing the package,
+booting the CLI or the service, and answering requests below the batch
+threshold must not load it.  Each check runs in a fresh interpreter,
+since this test process has long since imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter; it prints one JSON line last."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro", "repro.cli", "repro.runner", "repro.serve", "repro.analysis"],
+)
+def test_import_loads_no_numpy(module):
+    loaded = _fresh(
+        f"import json, sys, {module}\n"
+        "print(json.dumps('numpy' in sys.modules))"
+    )
+    assert loaded is False
+
+
+def test_package_surface_resolves_on_first_access():
+    out = _fresh(
+        "import json, sys, repro\n"
+        "loaded = [m for m in sys.modules if m.startswith('repro.')]\n"
+        "listed = set(repro.__all__) <= set(dir(repro))\n"
+        "ns = {}\n"
+        "exec('from repro import *', ns)\n"
+        "star = sorted(set(ns) - {'__builtins__'}) == sorted(repro.__all__)\n"
+        "print(json.dumps({'loaded': loaded, 'listed': listed, 'star': star}))"
+    )
+    assert out == {"loaded": [], "listed": True, "star": True}
+
+
+def test_serve_boot_loads_only_its_own_stack():
+    loaded = _fresh(
+        "import json, sys, repro.cli, repro.serve.app\n"
+        "repro.cli.build_parser()\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    for name in (
+        "numpy", "repro.analysis", "repro.machine", "repro.viz",
+        "repro.lint", "repro.sim",
+    ):
+        assert name not in loaded
+
+
+def test_serving_below_the_batch_threshold_loads_no_numpy():
+    out = _fresh(
+        "import asyncio, json, sys\n"
+        "from repro.runner.executor import SweepExecutor\n"
+        "from repro.serve.app import BandwidthService\n"
+        "service = BandwidthService(executor=SweepExecutor(backend='auto'))\n"
+        "single = {'banks': 8, 'bank_cycle': 4, 'streams': [[0, 4]]}\n"
+        "pair = {'banks': 8, 'bank_cycle': 4, 'streams': [[0, 4], [0, 4]]}\n"
+        "async def main():\n"
+        "    tiers = []\n"
+        "    for body in (single, pair, pair):\n"
+        "        _, _, raw, _ = await service.dispatch(\n"
+        "            'POST', '/v1/beff', json.dumps(body).encode())\n"
+        "        tiers.append(json.loads(raw)['tier'])\n"
+        "    return tiers\n"
+        "tiers = asyncio.run(main())\n"
+        "print(json.dumps({'tiers': tiers, 'numpy': 'numpy' in sys.modules}))"
+    )
+    assert out == {"tiers": ["analytic", "simulated", "memo"], "numpy": False}
+
+
+def test_batch_kernel_run_loads_numpy_with_fast_answers():
+    out = _fresh(
+        "import json, sys\n"
+        "from repro.memory.config import MemoryConfig\n"
+        "from repro.runner import SimJob, SweepExecutor, run, solve\n"
+        "from repro.runner.analytic import BATCH_MIN_POPULATION\n"
+        "cfg = MemoryConfig(banks=16, bank_cycle=4)\n"
+        "undecided = {}\n"
+        "for d1 in range(1, 16):\n"
+        "    for d2 in range(d1, 16):\n"
+        "        for off in range(16):\n"
+        "            job = SimJob.from_specs(cfg, [(0, d1), (off, d2)])\n"
+        "            if solve(job) is None:\n"
+        "                undecided.setdefault(job.cache_key(), job)\n"
+        "jobs = list(undecided.values())[:BATCH_MIN_POPULATION]\n"
+        "before = 'numpy' in sys.modules\n"
+        "outs = SweepExecutor(backend='auto').run_many(jobs)\n"
+        "def answer(o):\n"
+        "    p = o.to_payload()\n"
+        "    del p['backend']\n"
+        "    return p\n"
+        "print(json.dumps({\n"
+        "    'jobs': len(jobs),\n"
+        "    'before': before,\n"
+        "    'after': 'numpy' in sys.modules,\n"
+        "    'equal': [answer(o) for o in outs]\n"
+        "        == [answer(run(j, backend='fast')) for j in jobs],\n"
+        "}))"
+    )
+    from repro.runner.analytic import BATCH_MIN_POPULATION
+
+    assert out == {
+        "jobs": BATCH_MIN_POPULATION,
+        "before": False,
+        "after": True,
+        "equal": True,
+    }
+
+
+def test_pool_parent_preloads_the_kernel_only_for_batch_chunks():
+    # Forked workers inherit what the parent imported before the fork;
+    # loading NumPy in each worker of each pool made pooled batch runs
+    # several times slower.
+    out = _fresh(
+        "import json, sys\n"
+        "from repro.memory.config import MemoryConfig\n"
+        "from repro.runner import SweepExecutor, jobs_for_offsets\n"
+        "cfg = MemoryConfig(banks=8, bank_cycle=4)\n"
+        "jobs = jobs_for_offsets(cfg, 4, 4, range(8))\n"
+        "SweepExecutor(backend='auto', workers=2).run_many(jobs)\n"
+        "auto = 'numpy' in sys.modules\n"
+        "ex = SweepExecutor(backend='batch', workers=2)\n"
+        "ex.run_many(jobs)\n"
+        "print(json.dumps({'auto': auto, 'batch': 'numpy' in sys.modules,\n"
+        "                  'pooled': ex.stats.executed > 1}))"
+    )
+    assert out == {"auto": False, "batch": True, "pooled": True}

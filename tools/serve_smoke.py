@@ -14,13 +14,18 @@ real subprocess on a free port, then checks the contract end to end:
 * malformed bodies come back ``400`` (never ``500``);
 * ``GET /metrics`` exposes a populated per-endpoint latency histogram
   under the documented ``serve.*`` names;
+* the server process never mapped NumPy (``_multiarray_umath`` absent
+  from ``/proc/<pid>/maps``; skipped with a note where ``/proc`` is
+  absent): none of these requests, nor the 48-job precompute, reaches
+  the batch kernel's ``BATCH_MIN_POPULATION``;
 * ``SIGINT`` drains gracefully (exit code 0 within ``--timeout``,
   "draining" announced, no traceback) while an idle keep-alive client
   holds its connection open between requests.
 
 A JSON artifact (``--json PATH``, default ``serve-smoke.json``)
-captures the responses and the parsed ``serve.*`` metric samples for
-CI upload.
+captures the responses, the parsed ``serve.*`` metric samples, the
+spawn-to-announce seconds and the server's peak resident set (VmHWM)
+for CI upload; the last two are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -79,6 +84,14 @@ def _serve_samples(prom_text: str) -> dict[str, float]:
     return samples
 
 
+def _proc_text(pid: int, name: str) -> str | None:
+    """``/proc/<pid>/<name>``, or ``None`` where there is no ``/proc``."""
+    try:
+        return Path(f"/proc/{pid}/{name}").read_text()
+    except FileNotFoundError:
+        return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", default="serve-smoke.json",
@@ -92,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _smoke(args: argparse.Namespace, store: str) -> int:
+    spawned = time.monotonic()
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "-m", "8", "-c", "4", "--store", store, "--precompute", "1-3",
@@ -119,6 +133,7 @@ def _smoke(args: argparse.Namespace, store: str) -> int:
                 break
         if port is None:
             raise SystemExit("server never announced readiness")
+        artifact["setup_s"] = time.monotonic() - spawned
         base = f"http://127.0.0.1:{port}"
 
         status, beff = _post(base, "/v1/beff", ANALYTIC_POINT)
@@ -166,6 +181,17 @@ def _smoke(args: argparse.Namespace, store: str) -> int:
             'serve_http_requests{endpoint="/v1/beff",status="200"}', 0.0
         )
         assert requests_ok >= 2, f"request counter not populated: {requests_ok}"
+
+        maps = _proc_text(proc.pid, "maps")
+        if maps is None:
+            print("note: no /proc here; the numpy-not-loaded check is skipped")
+        else:
+            assert "_multiarray_umath" not in maps, "the server loaded numpy"
+            artifact["numpy_loaded"] = False
+            status_text = _proc_text(proc.pid, "status") or ""
+            for line in status_text.splitlines():
+                if line.startswith("VmHWM:"):
+                    artifact["peak_rss_mb"] = int(line.split()[1]) / 1024
 
         # A keep-alive client parked between requests must neither hold
         # the drain open nor be torn down with a traceback.
