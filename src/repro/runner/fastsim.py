@@ -14,6 +14,17 @@ against it with short-circuiting C-level list equality; memory is O(1)
 in the run length and the per-clock cost is dominated by the arbitration
 itself.
 
+Two-stream jobs run fused loops (span, detector walk, meeting walk)
+with every hot value in integer locals and no rule calls per clock,
+when both conflict kinds are arbitrated by fixed rules or by one shared
+``cyclic`` / ``block-cyclic:N`` rule.  A two-port rotating rule's state
+is a function of the clock alone, so the loops read its phase once on
+entry, compute the winner only on a conflicting clock, and write the
+phase back on exit.  LRU rules, split rules (a separate
+``intra_priority`` other than fixed/fixed), arbiter policies and jobs
+with three or more streams step clock by clock through the generic
+three-phase arbitration.
+
 Bit-identity contract (relied on by the backends and locked by
 ``tests/property``): for the same start state the detector reports
 exactly the first-repeat answer of the dictionary version — the minimal
@@ -51,6 +62,21 @@ def _record_steady(mu: int, lam: int) -> None:
 StateKey = tuple[list[int], tuple, tuple, list[int]]
 
 
+def _rotation_block(rule: "PriorityRule") -> int | None:
+    """Clocks per turn of a two-port rotating rule, else ``None``.
+
+    Port 1 is favoured on the second half of every ``2 * block``-clock
+    rotation, and the rule's snapshot is its phase in that rotation.
+    """
+    from ..sim.priority import BlockCyclicPriority, CyclicPriority
+
+    if isinstance(rule, CyclicPriority) and rule.n_ports == 2:
+        return 1
+    if isinstance(rule, BlockCyclicPriority) and rule.n_ports == 2:
+        return rule.block
+    return None
+
+
 class FlatSim:
     """One workload's state in flat integer lists, steppable per clock.
 
@@ -73,6 +99,7 @@ class FlatSim:
         "policy",
         "same_rule",
         "static_rules",
+        "rotation",
         "busy",
         "grants",
         "cycle",
@@ -118,6 +145,7 @@ class FlatSim:
             self.intra = None
             self.same_rule = True
             self.static_rules = False
+            self.rotation = None
         else:
             if prio is None:
                 raise ValueError("need prio= (or policy=)")
@@ -129,6 +157,17 @@ class FlatSim:
             self.static_rules = isinstance(prio, FixedPriority) and (
                 self.same_rule or isinstance(self.intra, FixedPriority)
             )
+            # The shapes the fused two-port loops take: ``rotation`` is
+            # 0 for fixed rules (they never rotate), the block length of
+            # one shared rotating rule, and None for everything else.
+            if self.n != 2:
+                self.rotation = None
+            elif self.static_rules:
+                self.rotation = 0
+            elif self.same_rule:
+                self.rotation = _rotation_block(prio)
+            else:
+                self.rotation = None
         # Banks are tracked as absolute busy-until clocks (bank ``b`` is
         # free at clock ``t`` iff ``busy[b] <= t``), not countdowns: a
         # grant writes one timestamp and the per-clock decrement sweep
@@ -144,16 +183,10 @@ class FlatSim:
         # mid-run engine carry timestamps in the engine's numbering.
         self.cycle = start_cycle
         self.ports = list(range(self.n))
-        # Sweeps overwhelmingly run two fixed-priority streams; that
-        # shape gets a branch-only step with no dicts and no rule calls
-        # (fixed rules are pure ``min`` — port 0 wins every tie).
         self._pair_same_cpu = self.n == 2 and self.cpu[0] == self.cpu[1]
-        if self.policy is not None:
-            self.step = self._step_policy
-        elif self.n == 2 and self.static_rules:
-            self.step = self._step_pair_fixed
-        else:
-            self.step = self._step_generic
+        self.step = (
+            self._step_policy if self.policy is not None else self._step_generic
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -229,58 +262,19 @@ class FlatSim:
         new.policy = None
         new.same_rule = self.same_rule
         new.static_rules = self.static_rules
+        new.rotation = self.rotation
         new.busy = self.busy.copy()
         new.grants = self.grants.copy()
         new.cycle = self.cycle
         new.ports = self.ports
         new._pair_same_cpu = self._pair_same_cpu
-        new.step = (
-            new._step_pair_fixed
-            if new.n == 2 and new.static_rules
-            else new._step_generic
-        )
+        new.step = new._step_generic
         return new
 
     # ------------------------------------------------------------------
     # One clock period — the exact three-phase arbitration of
     # Engine.step(), on flat state.
     # ------------------------------------------------------------------
-    def _step_pair_fixed(self) -> None:
-        """Two streams, fixed rules: the generic step with every branch
-        resolved at construction time (bit-identical trajectory)."""
-        busy = self.busy
-        pos = self.pos
-        t = self.cycle
-        b0 = pos[0]
-        b1 = pos[1]
-        g0 = busy[b0] <= t
-        g1 = busy[b1] <= t
-        if (
-            g0
-            and g1
-            and (
-                b0 == b1
-                if not self._pair_same_cpu
-                else self.sect[b0] == self.sect[b1]
-            )
-        ):
-            # Section conflict (same CPU) or simultaneous bank conflict
-            # (across CPUs): fixed priority grants port 0.
-            g1 = False
-        until = t + self.n_c
-        m = self.m
-        if g0:
-            busy[b0] = until
-            self.grants[0] += 1
-            b0 += self.stride[0]
-            pos[0] = b0 - m if b0 >= m else b0
-        if g1:
-            busy[b1] = until
-            self.grants[1] += 1
-            b1 += self.stride[1]
-            pos[1] = b1 - m if b1 >= m else b1
-        self.cycle = t + 1
-
     def _step_policy(self) -> None:
         """Arbiter-policy step: the generic three-phase arbitration
         with the policy ranking contenders and (when regulated) vetoing
@@ -413,22 +407,51 @@ class FlatSim:
 
     def run_span(self, clocks: int) -> None:
         """Advance a fixed number of clock periods."""
-        if self.n == 2 and self.static_rules:
+        if self.rotation is not None:
             self._run_span_pair(clocks)
             return
         step = self.step
         for _ in range(clocks):
             step()
 
+    # ------------------------------------------------------------------
+    # Fused two-port loops.  A conflicting clock ``t`` (both ports free
+    # and on one section of one CPU, or on one bank across CPUs) grants
+    # port 1 iff ``rot and ((t + ph) // rot) & 1``, where ``rot`` is
+    # the rotation block (0 for fixed rules: port 0 always wins) and
+    # ``ph`` the phase offset read once on entry; no rule is called per
+    # clock, and the rule's phase is written back on exit.
+    # ------------------------------------------------------------------
+    def _phase(self) -> int:
+        """Offset ``ph`` such that the rotating rule's snapshot at clock
+        ``t`` is ``(t + ph) % (2 * rotation)`` (0 for fixed rules)."""
+        rot = self.rotation
+        if not rot:
+            return 0
+        return (self.prio.snapshot()[0] - self.cycle) % (2 * rot)
+
+    def _write_back(self, b0: int, b1: int, c0: int, c1: int, t: int, ph: int) -> None:
+        """Write a fused loop's locals back, the rule's phase included."""
+        self.pos[0] = b0
+        self.pos[1] = b1
+        self.grants[0] = c0
+        self.grants[1] = c1
+        self.cycle = t
+        rot = self.rotation
+        if rot:
+            self.prio.restore(((t + ph) % (2 * rot),))
+
     def _run_span_pair(self, clocks: int) -> None:
-        """Fused two-port fixed loop: one frame for the whole span, all
-        hot state carried in integer locals and written back on exit."""
+        """Fused two-port loop: one frame for the whole span, all hot
+        state carried in integer locals and written back on exit."""
         busy = self.busy
         sect = self.sect
         s0, s1 = self.stride
         n_c = self.n_c
         m = self.m
         same_cpu = self._pair_same_cpu
+        rot = self.rotation
+        ph = self._phase()
         b0, b1 = self.pos
         c0, c1 = self.grants
         t = self.cycle
@@ -440,7 +463,10 @@ class FlatSim:
                 and g1
                 and (sect[b0] == sect[b1] if same_cpu else b0 == b1)
             ):
-                g1 = False
+                if rot and ((t + ph) // rot) & 1:
+                    g0 = False
+                else:
+                    g1 = False
             until = t + n_c
             if g0:
                 busy[b0] = until
@@ -455,11 +481,7 @@ class FlatSim:
                 if b1 >= m:
                     b1 -= m
             t += 1
-        self.pos[0] = b0
-        self.pos[1] = b1
-        self.grants[0] = c0
-        self.grants[1] = c1
-        self.cycle = t
+        self._write_back(b0, b1, c0, c1, t, ph)
 
     # ------------------------------------------------------------------
     # Bulk detector loops
@@ -471,7 +493,7 @@ class FlatSim:
         ``-1`` when the window closed without a match (the walker then
         sits exactly ``window`` steps further on).
         """
-        if self.n == 2 and self.static_rules:
+        if self.rotation is not None:
             return self._walk_until_match_pair(key, window)
         step = self.step
         matches = self.matches
@@ -482,11 +504,12 @@ class FlatSim:
         return -1
 
     def _walk_until_match_pair(self, key: StateKey, window: int) -> int:
-        """Fused step-and-compare for the two-port fixed shape.
+        """Fused step-and-compare for the two-port shapes.
 
-        The position compare is the only per-clock check (fixed rules
-        have empty snapshots); the O(m) busy normalisation runs on the
-        rare position collision.
+        The position compare is the only per-clock check; the rule's
+        phase and the O(m) busy normalisation are compared on the rare
+        position collision (fixed rules have one phase, so theirs always
+        matches).
         """
         busy = self.busy
         sect = self.sect
@@ -494,7 +517,11 @@ class FlatSim:
         n_c = self.n_c
         m = self.m
         same_cpu = self._pair_same_cpu
+        rot = self.rotation
+        ph = self._phase()
+        period = 2 * rot if rot else 1
         k0, k1 = key[0]
+        kph = key[1][0] if rot else 0
         kbusy = key[3]
         b0, b1 = self.pos
         c0, c1 = self.grants
@@ -509,7 +536,10 @@ class FlatSim:
                 and g1
                 and (sect[b0] == sect[b1] if same_cpu else b0 == b1)
             ):
-                g1 = False
+                if rot and ((t + ph) // rot) & 1:
+                    g0 = False
+                else:
+                    g1 = False
             until = t + n_c
             if g0:
                 busy[b0] = until
@@ -528,15 +558,12 @@ class FlatSim:
             if (
                 b0 == k0
                 and b1 == k1
+                and (t + ph) % period == kph
                 and [u - t if u > t else 0 for u in busy] == kbusy
             ):
                 found = taken
                 break
-        self.pos[0] = b0
-        self.pos[1] = b1
-        self.grants[0] = c0
-        self.grants[1] = c1
-        self.cycle = t
+        self._write_back(b0, b1, c0, c1, t, ph)
         return found
 
     # ------------------------------------------------------------------
@@ -598,12 +625,13 @@ class FlatSim:
 
 
 def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
-    """Fused phase-2 meeting loop for the two-port fixed shape.
+    """Fused phase-2 meeting loop for the two-port shapes.
 
     Steps both walkers in lockstep until their (clock-normalised)
     states coincide, returning the step count ``mu`` — or ``-1`` once
     ``mu_limit`` lockstep steps passed without a meeting.  Both sims
-    are left at the exit state (positions, grants, clock written back).
+    are left at the exit state (positions, grants, clock and rule phase
+    written back).
     """
     busy_a = trail.busy
     busy_b = lead.busy
@@ -612,6 +640,10 @@ def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
     n_c = trail.n_c
     m = trail.m
     same_cpu = trail._pair_same_cpu
+    rot = trail.rotation
+    period = 2 * rot if rot else 1
+    pa = trail._phase()
+    pb = lead._phase()
     a0, a1 = trail.pos
     b0, b1 = lead.pos
     ca0, ca1 = trail.grants
@@ -623,6 +655,7 @@ def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
         if (
             a0 == b0
             and a1 == b1
+            and (ta + pa) % period == (tb + pb) % period
             and [u - ta if u > ta else 0 for u in busy_a]
             == [u - tb if u > tb else 0 for u in busy_b]
         ):
@@ -637,7 +670,10 @@ def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
             and g1
             and (sect[a0] == sect[a1] if same_cpu else a0 == a1)
         ):
-            g1 = False
+            if rot and ((ta + pa) // rot) & 1:
+                g0 = False
+            else:
+                g1 = False
         until = ta + n_c
         if g0:
             busy_a[a0] = until
@@ -659,7 +695,10 @@ def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
             and g1
             and (sect[b0] == sect[b1] if same_cpu else b0 == b1)
         ):
-            g1 = False
+            if rot and ((tb + pb) // rot) & 1:
+                g0 = False
+            else:
+                g1 = False
         until = tb + n_c
         if g0:
             busy_b[b0] = until
@@ -675,16 +714,8 @@ def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
                 b1 -= m
         tb += 1
         mu += 1
-    trail.pos[0] = a0
-    trail.pos[1] = a1
-    trail.grants[0] = ca0
-    trail.grants[1] = ca1
-    trail.cycle = ta
-    lead.pos[0] = b0
-    lead.pos[1] = b1
-    lead.grants[0] = cb0
-    lead.grants[1] = cb1
-    lead.cycle = tb
+    trail._write_back(a0, a1, ca0, ca1, ta, pa)
+    lead._write_back(b0, b1, cb0, cb1, tb, pb)
     return mu
 
 
@@ -751,7 +782,7 @@ def find_steady_cycle(
     lead = make()
     lead.run_span(lam)
     trail = make()
-    if trail.n == 2 and trail.static_rules:
+    if trail.rotation is not None:
         mu = _meet_pair(trail, lead, max_cycles - lam)
         if mu < 0:
             raise exhausted()

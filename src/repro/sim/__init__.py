@@ -21,46 +21,49 @@ to their Cray X-MP measurements (Section IV):
     Event log feeding the figure renderer in :mod:`repro.viz`.
 """
 
-from .arbiter import (
-    ArbiterPolicy,
-    PriorityArbiter,
-    RegulatedArbiter,
-    RegulationSpec,
-    TokenBucket,
-    WeightedFairArbiter,
-    canonical_arbiter,
-    canonical_regulation,
-    make_arbiter,
-    parse_regulation,
-)
-from .engine import Engine, SimulationResult, simulate_streams
-from .multi import MultiResult, equal_stride_table, simulate_multi
-from .statespace import (
-    StartSpaceProfile,
-    Trajectory,
-    start_space_profile,
-    trajectory,
-)
-from .pairs import (
-    ObservedRegime,
-    PairResult,
-    bandwidth_by_offset,
-    best_offset,
-    offsets_achieving,
-    simulate_pair,
-    worst_offset,
-)
-from .port import Port
-from .priority import (
-    BlockCyclicPriority,
-    CyclicPriority,
-    FixedPriority,
-    LRUPriority,
-    PriorityRule,
-    make_priority,
-)
-from .stats import ConflictKind, PortStats, SimStats
-from .trace import CycleTrace, DenialEvent, GrantEvent, TraceRecorder
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of __getattr__ below
+    from .arbiter import (
+        ArbiterPolicy,
+        PriorityArbiter,
+        RegulatedArbiter,
+        RegulationSpec,
+        TokenBucket,
+        WeightedFairArbiter,
+        canonical_arbiter,
+        canonical_regulation,
+        make_arbiter,
+        parse_regulation,
+    )
+    from .engine import Engine, SimulationResult, simulate_streams
+    from .multi import MultiResult, equal_stride_table, simulate_multi
+    from .statespace import (
+        StartSpaceProfile,
+        Trajectory,
+        start_space_profile,
+        trajectory,
+    )
+    from .pairs import (
+        ObservedRegime,
+        PairResult,
+        bandwidth_by_offset,
+        best_offset,
+        offsets_achieving,
+        simulate_pair,
+        worst_offset,
+    )
+    from .port import Port
+    from .priority import (
+        BlockCyclicPriority,
+        CyclicPriority,
+        FixedPriority,
+        LRUPriority,
+        PriorityRule,
+        make_priority,
+    )
+    from .stats import ConflictKind, PortStats, SimStats
+    from .trace import CycleTrace, DenialEvent, GrantEvent, TraceRecorder
 
 __all__ = [
     "ArbiterPolicy",
@@ -105,3 +108,26 @@ __all__ = [
     "trajectory",
     "worst_offset",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a re-export on first access (PEP 562).
+
+    Importing one module of this package (``repro.sim.priority``, say,
+    which every job validation needs) loads that module alone, not the
+    engine and the front ends listed here.
+    """
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import (
+        arbiter, engine, multi, pairs, port, priority, statespace, stats, trace,
+    )
+
+    homes = (arbiter, engine, multi, pairs, port, priority, statespace, stats, trace)
+    value = next(getattr(home, name) for home in homes if name in home.__all__)
+    globals()[name] = value  # later reads bypass this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

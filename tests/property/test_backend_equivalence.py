@@ -5,15 +5,24 @@ starts, strides, CPU placement, priority rules — run through both
 backends; every component of the steady outcome must match exactly.
 This is the cross-check that licenses using the fast path anywhere the
 reference engine was used.
+
+The reference backend takes its transient and period from the fast
+engine's detector, so the two agreeing says nothing about "steady"
+itself.  ``TestFirstRepeatOracle`` checks every backend against a
+first-repeat dictionary detector that steps the object engine and keys
+each clock on its full state, sharing no code with that detector.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arithmetic import units_tuple
+from repro.core.stream import AccessStream
 from repro.runner import SimJob, run
+from repro.sim.engine import Engine
+from repro.sim.port import Port
 
 
 @st.composite
@@ -48,6 +57,92 @@ def sim_jobs(draw):
         priority=priority,
         intra_priority=intra,
     )
+
+
+def _engine(job: SimJob) -> Engine:
+    """A fresh object engine at ``job``'s start state."""
+    ports = [Port(index=i, cpu=c) for i, c in enumerate(job.cpus)]
+    engine = Engine(
+        job.config,
+        ports,
+        priority=job.priority,
+        intra_priority=job.intra_priority,
+    )
+    for port, (b, d) in zip(ports, job.streams):
+        port.assign(AccessStream(start_bank=b, stride=d).bound(job.banks))
+    return engine
+
+
+def _first_repeat(engine: Engine) -> tuple[int, int, tuple[int, ...]]:
+    """``(first clock of the periodic regime, minimal period, per-port
+    grants over one period)`` by stepping ``engine`` until a full state
+    recurs: the historical dictionary detector, from the engine's
+    current clock on."""
+    seen: dict[tuple, int] = {}
+    totals: list[tuple[int, ...]] = []
+    start = engine.cycle
+    while True:
+        key = engine._state_key()
+        first = seen.get(key)
+        if first is not None:
+            now = tuple(p.granted_total for p in engine.ports)
+            before = totals[first - start]
+            return (
+                first,
+                engine.cycle - first,
+                tuple(b - a for a, b in zip(before, now)),
+            )
+        seen[key] = engine.cycle
+        totals.append(tuple(p.granted_total for p in engine.ports))
+        engine.step()
+
+
+#: Cyclic priority across CPUs with a period of 1026 clocks: at half the
+#: period the positions and banks repeat with the rule in the opposite
+#: phase, so a detector that ignores the rule reports 513.
+LONG_CYCLIC = SimJob(
+    banks=27,
+    bank_cycle=8,
+    streams=((2, 2), (1, 7)),
+    cpus=(1, 0),
+    priority="cyclic",
+)
+#: Fig. 8(b): one CPU, three sections; the cyclic rule dissolves the
+#: linked conflict of Fig. 8(a) (b_eff 3/2 -> 2).
+FIG8B = SimJob(
+    banks=12,
+    bank_cycle=3,
+    sections=3,
+    streams=((0, 1), (1, 1)),
+    cpus=(0, 0),
+    priority="cyclic",
+)
+
+
+class TestFirstRepeatOracle:
+    @given(job=sim_jobs())
+    @example(job=LONG_CYCLIC)
+    @example(job=FIG8B)
+    @settings(max_examples=150, deadline=None)
+    def test_steady_answers_match_dictionary_detector(self, job):
+        want = _first_repeat(_engine(job))
+        for backend in ("fast", "batch", "reference"):
+            out = run(job, backend=backend)
+            assert (out.steady_start, out.period, out.grants) == want, backend
+
+    @given(job=sim_jobs(), k=st.integers(0, 40).map(lambda i: 2 * i + 1))
+    @example(job=LONG_CYCLIC, k=3)
+    @example(job=FIG8B, k=1)
+    @settings(max_examples=80, deadline=None)
+    def test_resumed_detection_matches_dictionary_detector(self, job, k):
+        """Detection from a mid-run engine: walkers start at an odd
+        clock, with a rotating rule part-way through its rotation."""
+        oracle = _engine(job)
+        oracle.run(k)
+        engine = _engine(job)
+        engine.run(k)
+        _, period, grants, start = engine.run_to_steady_state()
+        assert (start, period, grants) == _first_repeat(oracle)
 
 
 class TestBackendEquivalence:

@@ -91,6 +91,40 @@ def test_serving_below_the_batch_threshold_loads_no_numpy():
     assert out == {"tiers": ["analytic", "simulated", "memo"], "numpy": False}
 
 
+def test_validating_and_serving_a_pair_load_only_the_priority_rules():
+    # Job validation parses the priority spec; that must not drag in the
+    # engine and the rest of repro.sim (it cost the first request of a
+    # process some 40 ms).
+    out = _fresh(
+        "import asyncio, json, sys\n"
+        "from repro.runner import SimJob\n"
+        "from repro.runner.executor import SweepExecutor\n"
+        "from repro.serve.app import BandwidthService\n"
+        "def sim():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('repro.sim'))\n"
+        "SimJob(banks=8, bank_cycle=4, streams=((0, 1), (1, 3)),\n"
+        "       cpus=(0, 1), priority='cyclic')\n"
+        "validated = sim()\n"
+        "service = BandwidthService(executor=SweepExecutor(backend='auto'))\n"
+        "pair = {'banks': 37, 'bank_cycle': 4, 'streams': [[0, 5], [3, 11]],\n"
+        "        'cpus': [0, 1], 'priority': 'cyclic'}\n"
+        "async def main():\n"
+        "    tiers = []\n"
+        "    for _ in range(2):\n"
+        "        _, _, raw, _ = await service.dispatch(\n"
+        "            'POST', '/v1/beff', json.dumps(pair).encode())\n"
+        "        tiers.append(json.loads(raw)['tier'])\n"
+        "    return tiers\n"
+        "tiers = asyncio.run(main())\n"
+        "print(json.dumps({'validated': validated, 'served': sim(),\n"
+        "                  'tiers': tiers}))"
+    )
+    rules = ["repro.sim", "repro.sim.priority"]
+    assert out == {
+        "validated": rules, "served": rules, "tiers": ["simulated", "memo"]
+    }
+
+
 def test_batch_kernel_run_loads_numpy_with_fast_answers():
     out = _fresh(
         "import json, sys\n"

@@ -11,6 +11,11 @@ real subprocess on a free port, then checks the contract end to end:
   the executor's ``memo`` without simulating;
 * an undecided pair outside it simulates (exact too), and its repeat
   answers ``memo``;
+* the paper's Fig. 8 pair (12 banks, ``n_c = 3``, 3 sections, strides
+  1 and 1 from banks 0 and 1 on one CPU), which no closed form decides,
+  answers Fig. 8(a)'s linked conflict under ``fixed`` priority
+  (``3/2``, period 16) and Fig. 8(b)'s ``2/1`` (period 12) under
+  ``cyclic`` priority, simulated once and then from ``memo``;
 * malformed bodies come back ``400`` (never ``500``);
 * ``GET /metrics`` exposes a populated per-endpoint latency histogram
   under the documented ``serve.*`` names;
@@ -53,6 +58,13 @@ SIMULATED_POINT = {"banks": 8, "bank_cycle": 4, "streams": [[0, 4], [0, 4]]}
 SIMULATED_EXPECTED = "1/2"
 #: Undecided, and one of the ``--precompute 1-3`` jobs (strides 1 and 3).
 PRECOMPUTED_POINT = {"banks": 8, "bank_cycle": 4, "streams": [[0, 1], [1, 3]]}
+#: Fig. 8: the linked conflict that fixed priority locks in (a) and a
+#: cyclic rule dissolves (b); priority -> (bandwidth, period).
+FIG8_PAIR = {
+    "banks": 12, "bank_cycle": 3, "sections": 3,
+    "streams": [[0, 1], [1, 1]], "cpus": [0, 0],
+}
+FIG8_EXPECTED = {"fixed": ("3/2", 16), "cyclic": ("2/1", 12)}
 
 
 def _post(base: str, path: str, obj: object) -> tuple[int, dict]:
@@ -159,6 +171,20 @@ def _smoke(args: argparse.Namespace, store: str) -> int:
         assert again["tier"] == "memo", again
         artifact["beff_repeat"] = again
 
+        for priority, (bandwidth, period) in FIG8_EXPECTED.items():
+            body = {**FIG8_PAIR, "priority": priority}
+            status, fig8 = _post(base, "/v1/beff", body)
+            assert status == 200, (status, fig8)
+            assert (fig8["bandwidth"], fig8["period"]) == (bandwidth, period), fig8
+            artifact[f"beff_fig8_{priority}"] = fig8
+        # Fig. 8(b) simulates once, then answers from the memo.
+        assert artifact["beff_fig8_cyclic"]["tier"] == "simulated", fig8
+        status, again = _post(base, "/v1/beff", {**FIG8_PAIR, "priority": "cyclic"})
+        assert status == 200, (status, again)
+        assert (again["bandwidth"], again["tier"]) == ("2/1", "memo"), again
+        artifact["beff_fig8_cyclic_repeat"] = again
+        beff_posts = 7  # the POST /v1/beff requests above
+
         status, bad = _post(base, "/v1/sweep", {"jobs": "nope"})
         assert status == 400, (status, bad)
         artifact["malformed_status"] = status
@@ -174,13 +200,15 @@ def _smoke(args: argparse.Namespace, store: str) -> int:
         latency_count = samples.get(
             'serve_http_latency_us_count{endpoint="/v1/beff"}', 0.0
         )
-        assert latency_count >= 2, (
+        assert latency_count >= beff_posts, (
             f"latency histogram not populated: {latency_count}"
         )
         requests_ok = samples.get(
             'serve_http_requests{endpoint="/v1/beff",status="200"}', 0.0
         )
-        assert requests_ok >= 2, f"request counter not populated: {requests_ok}"
+        assert requests_ok >= beff_posts, (
+            f"request counter not populated: {requests_ok}"
+        )
 
         maps = _proc_text(proc.pid, "maps")
         if maps is None:
