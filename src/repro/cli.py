@@ -123,9 +123,9 @@ def _add_runner_args(
                         "Failure semantics)")
     p.add_argument("--chunk-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="declare a pool chunk lost after SECONDS and "
-                        "retry it (implies --retries; pool execution "
-                        "only)")
+                   help="condemn the pool when no running chunk finishes "
+                        "within SECONDS and retry its unfinished chunks "
+                        "(implies --retries; pool execution only)")
     p.add_argument("--strict-failures", action="store_true",
                    help="exit non-zero if any job still fails after "
                         "retries, instead of reporting FailedOutcome "

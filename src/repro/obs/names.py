@@ -207,7 +207,7 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         EXECUTOR_POOL_REBUILDS, "counter", (),
-        "repro.runner.scheduling.PoolScheduler",
+        "repro.runner.scheduling.ChunkRunner.run",
         "Broken or timed-out process pools torn down and rebuilt "
         "mid-batch.",
     ),
@@ -268,7 +268,7 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         SCHED_STEALS, "counter", ("scheduler",),
-        "repro.runner.scheduling.PoolScheduler",
+        "repro.runner.scheduling.ChunkRunner._steal",
         "Straggler chunks split onto idle workers by the pool's work "
         "stealing.",
     ),
@@ -409,7 +409,7 @@ SPAN_CONTRACT: tuple[SpanSpec, ...] = (
     ),
     SpanSpec(
         SPAN_EXECUTOR_STEAL, ("jobs", "scheduler"),
-        "repro.runner.scheduling.PoolScheduler",
+        "repro.runner.scheduling.ChunkRunner._steal",
         "One work-stealing event: a queued straggler chunk split in "
         "half over idle pool workers.",
     ),

@@ -366,7 +366,7 @@ class SweepExecutor:
 
         if failed and self.retry is not None and self.retry.strict:
             # The work that did succeed is already banked (memo, store).
-            raise SweepFailureError(list(failed.values()))
+            raise SweepFailureError([failed[k] for k in fresh if k in failed])
         return ran, stored, failed
 
     def _finish_chunk(

@@ -97,9 +97,11 @@ class RetryPolicy:
         ``k`` waits ``backoff_base_ms << (k - 1)`` milliseconds.  ``0``
         disables waiting (useful in tests).
     chunk_timeout:
-        Seconds a pool chunk may run before the pool is declared lost
-        and the chunk retried (pool execution only — inline chunks
-        cannot be preempted).  ``None`` waits forever.
+        Seconds to wait for the next in-flight pool chunk to finish.
+        When none finishes in time the pool is declared lost, its
+        workers terminated and its unfinished chunks retried (pool
+        execution only — inline chunks cannot be preempted).  ``None``
+        waits forever.
     strict:
         Raise :class:`SweepFailureError` at the end of the batch if any
         job still failed after retries and isolation, instead of

@@ -1,31 +1,30 @@
 """Scheduling layer: *what runs where*, split from *how a chunk runs*.
 
-Historically :class:`~repro.runner.executor.SweepExecutor` owned both
-halves of sweep execution: the mechanics of running one chunk (payload
-encode/decode, retry, bisection, pool rebuilds) and the policy of
-spreading chunks over compute.  This module separates them:
-
-* :class:`ChunkRunner` is the **execution core** — it plans chunks by
-  the backend's ``preferred_chunk`` hint, dispatches one chunk through
-  the module-level pool worker, banks finished payloads through the
-  executor's memo/store callback, and owns the full
-  retry/bisection state machine from :mod:`repro.runner.resilience`.
+* :class:`ChunkRunner` is the **execution core**.  It plans chunks by
+  the backend's ``preferred_chunk`` hint and drives them through one
+  queue-driven loop, :meth:`ChunkRunner.run`: each chunk is dispatched
+  in process or submitted to a process pool through the module-level
+  pool worker, a finished chunk is banked through the executor's
+  memo/store callback (:meth:`ChunkRunner.complete`), and a failed one
+  is retried, bisected or recorded by :meth:`ChunkRunner.requeue`
+  under the :class:`~repro.runner.resilience.RetryPolicy`.  With no
+  policy the first error propagates unchanged.
 * A scheduler decides *where* chunks go; the executor's ``workers``
-  count picks one of two over the same core:
+  count picks one of two over the same loop:
 
   - :class:`InlineScheduler` — everything in the orchestrating process
-    (``workers=1``, the degrade path, and the semantics baseline the
-    pool must reproduce bit-identically);
-  - :class:`PoolScheduler` — a local process pool fed from a shared
-    work queue, with **work stealing**: when workers go idle and the
-    queue runs short, the largest queued chunk is split in half so
-    stragglers drain across the pool.
+    (``workers=1``, and the semantics baseline the pool must reproduce
+    bit-identically);
+  - :class:`PoolScheduler` — a local process pool fed from the loop's
+    queue, with **work stealing**: when workers go idle and the queue
+    runs short, the largest queued chunk is split in half so
+    stragglers drain across the pool.  A broken or hung pool is
+    condemned (its workers terminated) and rebuilt, and after
+    ``degrade_after`` rebuilds the loop runs the rest inline.
 
 Both return ``(ran, failed)`` payload maps keyed by canonical job key;
-the executor folds them back into input order.  All retry accounting
-(``retries``/``failures``/``recovered`` stats, backoff schedule,
-bisection splits) flows through the shared :class:`ChunkRunner`
-helpers, so both surface identical
+the executor folds them back into input order.  Inline, pooled and
+degraded chunks share one retry path, so they surface identical
 :class:`~repro.runner.resilience.FailedOutcome` values for the same
 failing population.
 """
@@ -43,6 +42,8 @@ from .job import SimJob
 from .resilience import FailedOutcome, RetryPolicy, sleep_ms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future, ProcessPoolExecutor
+
     from .executor import ExecutorStats
 
 __all__ = [
@@ -61,10 +62,11 @@ _PayloadArgs = tuple[list[SimJob], "str | None"]
 
 @dataclass
 class _ChunkTask:
-    """One chunk's dispatch state while a batch is being recovered."""
+    """One queued chunk and its dispatch state."""
 
     chunk: _Chunk
-    #: dispatches of this exact chunk so far (0 = not yet dispatched)
+    #: retries of this exact chunk so far (0 on its first dispatch; a
+    #: bisected half or a chunk the degraded pool hands back restarts)
     attempt: int = 0
     #: True once any dispatch covering these jobs has failed
     troubled: bool = False
@@ -113,16 +115,30 @@ def chunk_size(n_items: int, workers: int, preferred: int) -> int:
     return base
 
 
+def _stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting and terminate its workers.
+
+    ``shutdown`` alone leaves a hung worker running, and the
+    interpreter's exit hook then joins it.  The workers are read first
+    because ``shutdown`` drops the pool's reference to them
+    (``terminate_workers`` does the same from Python 3.14)."""
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in workers:
+        proc.terminate()
+
+
 class ChunkRunner:
     """The execution core every scheduler drives.
 
-    Owns everything below the placement decision: chunk planning,
-    payload dispatch through the (monkeypatchable, picklable)
-    module-level worker in ``repro.runner.executor``, the inline
-    retry/bisection state machine, and the shared failure-accounting
-    helpers.  Completed chunks are banked through ``on_chunk`` — the
-    executor's memoize/store-publish hook — so caching behaviour is
-    identical no matter which scheduler ran the chunk.
+    Owns everything below the placement decision: chunk planning and
+    the one dispatch loop (:meth:`run`), which sends chunks through the
+    (monkeypatchable, picklable) module-level worker in
+    ``repro.runner.executor`` in process or over a process pool, and
+    routes every failure through :meth:`requeue`.  Completed chunks are
+    banked through ``on_chunk`` — the executor's memoize/store-publish
+    hook — so caching behaviour is identical no matter where the chunk
+    ran.
     """
 
     def __init__(
@@ -163,21 +179,58 @@ class ChunkRunner:
     def payload_args(self, chunk: _Chunk) -> _PayloadArgs:
         return ([job for _, job in chunk], self.backend)
 
-    def run_chunk(self, chunk: _Chunk) -> list[dict]:
-        """Execute one chunk in the current process."""
-        fn = self.batch_fn()
-        return fn(self.payload_args(chunk))
-
     def dispatch_inline(self, task: _ChunkTask) -> list[dict]:
         """One in-process chunk execution (recovery dispatches traced)."""
-        if not task.troubled and task.attempt == 0:
-            return self.run_chunk(task.chunk)
+        fn = self.batch_fn()
+        if not task.troubled:
+            return fn(self.payload_args(task.chunk))
         with _trace.span(
             _names.SPAN_EXECUTOR_RECOVERY,
             jobs=len(task.chunk),
             attempt=task.attempt,
         ):
-            return self.run_chunk(task.chunk)
+            return fn(self.payload_args(task.chunk))
+
+    def _next_task(self, pending: deque[_ChunkTask]) -> _ChunkTask:
+        """Pop the next chunk to dispatch.  A re-dispatch of failed work
+        counts as a retry and first sleeps its deterministic backoff."""
+        task = pending.popleft()
+        if task.troubled:
+            assert self.retry is not None
+            self.stats.retries += 1
+            sleep_ms(self.retry.backoff_ms(max(task.attempt, 1)))
+        return task
+
+    def _steal(self, pending: deque[_ChunkTask], idle: int) -> None:
+        """Split queued stragglers while idle pool slots outnumber the
+        queue.
+
+        Only clean chunks (never failed) are split: troubled chunks
+        already carry retry/bisection state that must stay intact.
+        """
+        while len(pending) < idle:
+            victim = max(
+                (t for t in pending if len(t.chunk) > 1 and not t.troubled),
+                key=lambda t: len(t.chunk),
+                default=None,
+            )
+            if victim is None:
+                return
+            pending.remove(victim)
+            with _trace.span(
+                _names.SPAN_EXECUTOR_STEAL,
+                jobs=len(victim.chunk),
+                scheduler=PoolScheduler.name,
+            ):
+                reg = _metrics.active_metrics()
+                if reg is not None:
+                    reg.counter(
+                        _names.SCHED_STEALS, scheduler=PoolScheduler.name
+                    ).inc()
+                mid = len(victim.chunk) // 2
+                for part in (victim.chunk[:mid], victim.chunk[mid:]):
+                    self.observe_chunk(part, PoolScheduler.name)
+                    pending.append(_ChunkTask(part))
 
     # ------------------------------------------------------------------
     # Accounting
@@ -205,9 +258,19 @@ class ChunkRunner:
         task: _ChunkTask,
         pending: deque[_ChunkTask],
         failed: dict[str, FailedOutcome],
+        exc: Exception | None = None,
+        context: str = "",
     ) -> None:
-        """Route a failed chunk: retry, bisect, or record the failure."""
+        """Route a failed chunk: retry, bisect, or record the failure.
+
+        ``exc``, prefixed by ``context``, becomes the chunk's error;
+        with no policy it propagates unchanged instead (fail-fast).
+        """
         policy = self.retry
+        if exc is not None:
+            if policy is None:
+                raise exc
+            task.error = f"{context}{type(exc).__name__}: {exc}"
         assert policy is not None
         task.troubled = True
         if task.attempt < policy.max_retries:
@@ -222,97 +285,164 @@ class ChunkRunner:
                     _ChunkTask(half, troubled=True, error=task.error)
                 )
         else:
-            self.record_failure(task, failed)
-
-    def record_failure(
-        self, task: _ChunkTask, failed: dict[str, FailedOutcome]
-    ) -> None:
-        """An isolated singleton chunk is out of options: record it."""
-        key, job = task.chunk[0]
-        self.stats.failures += 1
-        failed[key] = FailedOutcome(
-            job=job,
-            error=task.error or "unknown failure",
-            attempts=task.attempt + 1,
-        )
+            # An isolated singleton chunk is out of options: record it.
+            key, job = task.chunk[0]
+            self.stats.failures += 1
+            failed[key] = FailedOutcome(
+                job=job, error=task.error, attempts=task.attempt + 1
+            )
 
     # ------------------------------------------------------------------
-    # The inline state machine (also every scheduler's degrade path)
+    # The dispatch loop
     # ------------------------------------------------------------------
-    def run_inline(
-        self,
-        chunks: Sequence[_Chunk],
-        ran: dict[str, dict],
-        failed: dict[str, FailedOutcome],
-        troubled: bool = False,
-    ) -> None:
-        """Run chunks in-process, with retry + bisection under a policy."""
+    def run(
+        self, chunks: Sequence[_Chunk], workers: int = 1
+    ) -> tuple[dict[str, dict], dict[str, FailedOutcome]]:
+        """Run ``chunks`` to completion and return ``(ran, failed)``.
+
+        Chunks wait in one queue.  With ``workers == 1`` each is
+        dispatched in process; otherwise up to ``workers`` are in flight
+        on a process pool that steals, salvages and rebuilds as
+        :class:`PoolScheduler` describes, until it degrades to in-process
+        dispatch.  Wherever a chunk ran, its payloads go to
+        :meth:`complete` and its failure to :meth:`requeue`.
+        """
+        ran: dict[str, dict] = {}
+        failed: dict[str, FailedOutcome] = {}
+        pending: deque[_ChunkTask] = deque(_ChunkTask(c) for c in chunks)
+        running: dict[Future[list[dict]], _ChunkTask] = {}
+        pool: ProcessPoolExecutor | None = None
+        if workers > 1:
+            # Only a pooled run loads the pool machinery.
+            from concurrent import futures
+
+            pool = futures.ProcessPoolExecutor(max_workers=workers)
         policy = self.retry
-        for chunk in chunks:
-            if policy is None:
-                # Historical fail-fast path: errors propagate untouched.
-                self.on_chunk(chunk, self.run_chunk(chunk), ran)
-                continue
-            task = _ChunkTask(list(chunk), troubled=troubled)
-            while True:
-                if task.troubled or task.attempt > 0:
-                    self.stats.retries += 1
-                    sleep_ms(policy.backoff_ms(max(task.attempt, 1)))
-                try:
-                    payloads = self.dispatch_inline(task)
-                except Exception as exc:  # noqa: BLE001 - isolation layer
-                    task.troubled = True
-                    task.error = f"{type(exc).__name__}: {exc}"
-                    if task.attempt < policy.max_retries:
-                        task.attempt += 1
-                        continue
-                    if len(task.chunk) > 1:
-                        mid = len(task.chunk) // 2
-                        halves = [task.chunk[:mid], task.chunk[mid:]]
-                        self.run_inline(halves, ran, failed, troubled=True)
+        timeout = policy.chunk_timeout if policy is not None else None
+        rebuilds = 0
+        try:
+            while pending or running:
+                if pool is None:
+                    task = self._next_task(pending)
+                    try:
+                        payloads = self.dispatch_inline(task)
+                    except Exception as exc:  # noqa: BLE001 - isolation layer
+                        self.requeue(task, pending, failed, exc)
                     else:
-                        self.record_failure(task, failed)
-                    break
-                else:
-                    self.complete(task, payloads, ran)
-                    break
+                        self.complete(task, payloads, ran)
+                    continue
+                self._steal(pending, workers - len(running))
+                broken = False
+                while pending and len(running) < workers:
+                    task = self._next_task(pending)
+                    fn = self.batch_fn()
+                    try:
+                        fut = pool.submit(fn, self.payload_args(task.chunk))
+                    except (futures.BrokenExecutor, RuntimeError) as exc:
+                        # The pool died between rounds: requeue and
+                        # rebuild below (salvaging what already ran).
+                        self.requeue(
+                            task, pending, failed, exc,
+                            "worker pool broke at submit: ",
+                        )
+                        broken = True
+                        break
+                    running[fut] = task
+                if not broken:
+                    done, _ = futures.wait(
+                        set(running),
+                        timeout=timeout,
+                        return_when=futures.FIRST_COMPLETED,
+                    )
+                    if not done:
+                        # No in-flight chunk finished within the chunk
+                        # timeout: the pool is presumed hung.
+                        broken = True
+                        for task in running.values():
+                            task.error = f"chunk timed out after {timeout}s"
+                    for fut in done:
+                        task = running.pop(fut)
+                        try:
+                            payloads = fut.result()
+                        except futures.BrokenExecutor as exc:
+                            broken = True
+                            self.requeue(
+                                task, pending, failed, exc,
+                                "worker pool broke: ",
+                            )
+                        except Exception as exc:  # noqa: BLE001 - job error
+                            # The chunk raised inside a healthy worker:
+                            # retry/bisect just this chunk.
+                            self.requeue(task, pending, failed, exc)
+                        else:
+                            self.complete(task, payloads, ran)
+                if broken:
+                    # Pool condemned: salvage in-flight chunks that
+                    # finished cleanly, requeue the rest, stop its
+                    # workers and rebuild it, or, once rebuilds exceed
+                    # ``degrade_after``, run the rest in process, each
+                    # chunk with a fresh retry budget.
+                    assert policy is not None  # else the error propagated
+                    for fut, task in running.items():
+                        if not fut.cancel() and fut.done() and (
+                            fut.exception() is None
+                        ):
+                            self.complete(task, fut.result(), ran)
+                        else:
+                            task.error = task.error or "lost with broken pool"
+                            self.requeue(task, pending, failed)
+                    running.clear()
+                    rebuilds += 1
+                    reg = _metrics.active_metrics()
+                    if reg is not None:
+                        reg.counter(_names.EXECUTOR_POOL_REBUILDS).inc()
+                    _stop_pool(pool)
+                    if rebuilds > policy.degrade_after:
+                        pool = None
+                        for task in pending:
+                            task.attempt = 0
+                    else:
+                        pool = futures.ProcessPoolExecutor(max_workers=workers)
+        except BaseException:
+            if pool is not None:
+                _stop_pool(pool)
+            raise
+        if pool is not None:
+            pool.shutdown()
+        return ran, failed
 
 
 class InlineScheduler:
-    """Everything in the orchestrating process: the semantics baseline
-    (and the degrade target when pools keep dying)."""
+    """Everything in the orchestrating process: the semantics baseline."""
 
     name = "inline"
 
     def execute(
         self, items: _Chunk, runner: ChunkRunner
     ) -> tuple[dict[str, dict], dict[str, FailedOutcome]]:
-        ran: dict[str, dict] = {}
-        failed: dict[str, FailedOutcome] = {}
         chunks = runner.plan(items, 1)
         for chunk in chunks:
             runner.observe_chunk(chunk, self.name)
-        runner.run_inline(chunks, ran, failed)
-        return ran, failed
+        return runner.run(chunks)
 
 
 class PoolScheduler:
-    """A local process pool fed from a shared work queue, with stealing.
+    """A local process pool fed from the run loop's queue, with stealing.
 
-    Chunks wait in one deque; each worker slot holds at most one chunk
-    in flight, so the coordinator always knows what is queued versus
-    running.  When completed slots outnumber the queue — idle capacity
-    with stragglers still running — the largest queued chunk is split
-    in half (an ``executor.steal`` span per split), so late work fans
-    out over the free workers instead of serializing behind one slot.
+    Each worker slot holds at most one chunk in flight, so the loop
+    always knows what is queued versus running.  When idle slots
+    outnumber the queue — free capacity with stragglers still running —
+    the largest clean queued chunk is split in half (an
+    ``executor.steal`` span per split), so late work fans out over the
+    free workers instead of serializing behind one slot.
 
-    With a :class:`~repro.runner.resilience.RetryPolicy` attached the
-    full recovery ladder applies at this level: failed chunks retry on
-    the deterministic backoff schedule and bisect down to singletons,
-    broken pools salvage finished futures and rebuild, a hung pool
-    (no progress within ``chunk_timeout``) is condemned wholesale, and
-    after ``degrade_after`` rebuilds the remaining queue drains through
-    :meth:`ChunkRunner.run_inline`.
+    With a :class:`~repro.runner.resilience.RetryPolicy` attached, a
+    chunk that raises in a worker retries and bisects exactly as inline.
+    A pool that breaks, or in which no in-flight chunk finishes within
+    ``chunk_timeout``, is condemned whole: finished chunks are salvaged,
+    the rest requeued, its workers terminated and a new pool started.
+    After ``degrade_after`` rebuilds the rest of the queue runs in
+    process.
     """
 
     name = "pool"
@@ -325,213 +455,15 @@ class PoolScheduler:
     def execute(
         self, items: _Chunk, runner: ChunkRunner
     ) -> tuple[dict[str, dict], dict[str, FailedOutcome]]:
-        ran: dict[str, dict] = {}
-        failed: dict[str, FailedOutcome] = {}
         chunks = runner.plan(items, self.workers)
         for chunk in chunks:
             runner.observe_chunk(chunk, self.name)
-        if self.workers == 1 or len(chunks) <= 1:
-            runner.run_inline(chunks, ran, failed)
-            return ran, failed
+        if len(chunks) <= 1:
+            return runner.run(chunks)
         _load_batch_kernel(runner.backend, chunks)
         with _trace.span(
             _names.SPAN_EXECUTOR_POOL,
             chunks=len(chunks),
             workers=self.workers,
         ):
-            if runner.retry is None:
-                self._execute_failfast(chunks, runner, ran)
-            else:
-                self._execute_recovering(chunks, runner, ran, failed)
-        return ran, failed
-
-    # ------------------------------------------------------------------
-    def _steal_split(
-        self, queue: deque[_ChunkTask], busy: int, runner: ChunkRunner
-    ) -> None:
-        """Split queued stragglers while idle slots outnumber the queue.
-
-        Only clean chunks (never dispatched, never failed) are split:
-        troubled chunks already carry retry/bisection state that must
-        stay intact.
-        """
-        idle = self.workers - busy
-        while len(queue) < idle:
-            victim: _ChunkTask | None = None
-            for task in queue:
-                if len(task.chunk) < 2 or task.troubled or task.attempt:
-                    continue
-                if victim is None or len(task.chunk) > len(victim.chunk):
-                    victim = task
-            if victim is None:
-                return
-            queue.remove(victim)
-            with _trace.span(
-                _names.SPAN_EXECUTOR_STEAL,
-                jobs=len(victim.chunk),
-                scheduler=self.name,
-            ):
-                reg = _metrics.active_metrics()
-                if reg is not None:
-                    reg.counter(
-                        _names.SCHED_STEALS, scheduler=self.name
-                    ).inc()
-                mid = len(victim.chunk) // 2
-                for part in (victim.chunk[:mid], victim.chunk[mid:]):
-                    runner.observe_chunk(part, self.name)
-                    queue.append(_ChunkTask(part))
-
-    # ------------------------------------------------------------------
-    def _execute_failfast(
-        self,
-        chunks: Sequence[_Chunk],
-        runner: ChunkRunner,
-        ran: dict[str, dict],
-    ) -> None:
-        """No policy: first error propagates, pool torn down behind it."""
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            Future,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        queue: deque[_ChunkTask] = deque(_ChunkTask(c) for c in chunks)
-        running: dict[Future[list[dict]], _ChunkTask] = {}
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            try:
-                while queue or running:
-                    self._steal_split(queue, len(running), runner)
-                    while queue and len(running) < self.workers:
-                        task = queue.popleft()
-                        fn = runner.batch_fn()
-                        fut = pool.submit(fn, runner.payload_args(task.chunk))
-                        running[fut] = task
-                    done, _ = wait(
-                        set(running), return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        task = running.pop(fut)
-                        runner.complete(task, fut.result(), ran)
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-
-    # ------------------------------------------------------------------
-    def _execute_recovering(
-        self,
-        chunks: Sequence[_Chunk],
-        runner: ChunkRunner,
-        ran: dict[str, dict],
-        failed: dict[str, FailedOutcome],
-    ) -> None:
-        """Policy-governed fan-out: retry, salvage, rebuild, degrade."""
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            BrokenExecutor,
-            Future,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        policy = runner.retry
-        assert policy is not None
-        queue: deque[_ChunkTask] = deque(_ChunkTask(c) for c in chunks)
-        running: dict[Future[list[dict]], _ChunkTask] = {}
-        rebuilds = 0
-        reg = _metrics.active_metrics()
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            while queue or running:
-                if rebuilds > policy.degrade_after:
-                    # The pool keeps dying: stop trusting it and run
-                    # the remainder inline (retry/bisection intact).
-                    while queue:
-                        task = queue.popleft()
-                        runner.run_inline(
-                            [task.chunk], ran, failed,
-                            troubled=task.troubled,
-                        )
-                    return
-                self._steal_split(queue, len(running), runner)
-                broken = False
-                while queue and len(running) < self.workers:
-                    task = queue.popleft()
-                    if task.troubled or task.attempt > 0:
-                        runner.stats.retries += 1
-                        sleep_ms(policy.backoff_ms(max(task.attempt, 1)))
-                    fn = runner.batch_fn()
-                    try:
-                        fut = pool.submit(
-                            fn, runner.payload_args(task.chunk)
-                        )
-                    except (BrokenExecutor, RuntimeError) as exc:
-                        # The pool died between rounds: requeue and
-                        # rebuild below (salvaging what already ran).
-                        task.error = (
-                            f"worker pool broke at submit: "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        runner.requeue(task, queue, failed)
-                        broken = True
-                        break
-                    running[fut] = task
-                if not broken and running:
-                    done, _ = wait(
-                        set(running),
-                        timeout=policy.chunk_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        # Nothing finished within the chunk timeout:
-                        # the pool is presumed hung, condemned whole.
-                        broken = True
-                        for task in running.values():
-                            task.error = (
-                                f"chunk timed out after "
-                                f"{policy.chunk_timeout}s"
-                            )
-                    for fut in done:
-                        task = running.pop(fut)
-                        try:
-                            payloads = fut.result()
-                        except BrokenExecutor as exc:
-                            broken = True
-                            task.error = (
-                                f"worker pool broke: "
-                                f"{type(exc).__name__}: {exc}"
-                            )
-                            runner.requeue(task, queue, failed)
-                        except Exception as exc:  # noqa: BLE001 - job error
-                            # The chunk raised inside a healthy worker:
-                            # retry/bisect just this chunk.
-                            task.error = f"{type(exc).__name__}: {exc}"
-                            runner.requeue(task, queue, failed)
-                        else:
-                            runner.complete(task, payloads, ran)
-                if broken:
-                    # Pool condemned: salvage in-flight chunks that
-                    # finished cleanly, requeue the rest, rebuild.
-                    for fut, task in list(running.items()):
-                        fut.cancel()
-                        salvaged: list[dict] | None = None
-                        if fut.done() and not fut.cancelled():
-                            try:
-                                salvaged = fut.result()
-                            except Exception:  # noqa: BLE001
-                                salvaged = None
-                        if salvaged is not None:
-                            runner.complete(task, salvaged, ran)
-                        else:
-                            task.error = (
-                                task.error or "lost with broken pool"
-                            )
-                            runner.requeue(task, queue, failed)
-                    running.clear()
-                    rebuilds += 1
-                    if reg is not None:
-                        reg.counter(_names.EXECUTOR_POOL_REBUILDS).inc()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            return runner.run(chunks, self.workers)

@@ -12,6 +12,7 @@ from repro.runner import (
     FailedOutcome,
     RetryPolicy,
     SweepExecutor,
+    SweepFailureError,
     jobs_for_offsets,
 )
 from repro.runner import backends as backends_mod
@@ -126,3 +127,28 @@ def test_failed_outcomes_surface_identically(
         poison_keys
     )
     assert ex.stats.retries > 0
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+def test_strict_failures_are_listed_in_batch_order(
+    monkeypatch, placement, tmp_path
+):
+    # Pooled chunks give up in completion order; the error lists them
+    # in batch order regardless, so its message is stable.
+    jobs = jobs_for_offsets(CFG, 1, 7, range(12))
+    keys = list(dict.fromkeys(j.cache_key() for j in jobs))
+    # The sorted extremes sit in different pool chunks and are isolated
+    # at the same bisection depth, so under a pool they race.
+    poisoned = {min(keys), max(keys)}
+    poison_keys = [k for k in keys if k in poisoned]
+    _install_backend(monkeypatch, PoisonBackend(poison_keys))
+    strict = RetryPolicy(max_retries=2, backoff_base_ms=0, strict=True)
+    for run in range(1 if placement == "inline" else 3):
+        ex = SweepExecutor(
+            backend="equiv-poison", retry=strict,
+            **PLACEMENTS[placement](tmp_path / str(run)),
+        )
+        with pytest.raises(SweepFailureError) as info:
+            ex.run_many(jobs)
+        failures = info.value.failures
+        assert [f.job.cache_key() for f in failures] == poison_keys

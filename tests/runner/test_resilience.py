@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -175,10 +176,13 @@ class TestInlineRecovery:
         outs = ex.run_many(jobs)
         clean = _clean_outcomes()
         assert ex.stats.failures == 1
+        assert ex.stats.retries == 18
+        assert ex.stats.recovered == 11
         for out, ref, job in zip(outs, clean, jobs):
             if job.cache_key() == poison_key:
                 assert out.failed is True
                 assert out.job is job
+                assert out.attempts == 3
                 with pytest.raises(FailedJobError):
                     out.bandwidth
             else:
@@ -270,6 +274,57 @@ class TestPoolRecovery:
         clean = _clean_outcomes()
         assert [o.bandwidth for o in outs] == [o.bandwidth for o in clean]
         assert ex.stats.failures == 0
+        # Two pool rounds fail whole (2 chunks, then 2 retries), the
+        # second bisecting each chunk; the four halves then run inline
+        # once each, every one a re-dispatch.
+        assert ex.stats.retries == 6
+        assert ex.stats.recovered == 12
+
+    def test_degraded_chunks_retry_with_a_fresh_budget(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_RATE_ENV, "1.0")
+        keys = sorted({j.cache_key() for j in _jobs()})
+        poison_key = keys[len(keys) // 2]
+        _install_backend(monkeypatch, PoisonBackend(poison_key))
+        ex = SweepExecutor(
+            backend="poison", workers=2,
+            retry=RetryPolicy(
+                max_retries=1, backoff_base_ms=0, degrade_after=1
+            ),
+        )
+        outs = ex.run_many(_jobs())
+        clean = _clean_outcomes()
+        assert ex.stats.retries == 13
+        assert ex.stats.failures == 1
+        assert ex.stats.recovered == 11
+        for out, ref in zip(outs, clean):
+            if out.job.cache_key() == poison_key:
+                # Inline, the poisoned job is dispatched once and retried
+                # once after the pool gave up on it.
+                assert out.failed is True
+                assert out.attempts == 2
+                assert out.error == "RuntimeError: poisoned job"
+            else:
+                assert out.bandwidth == ref.bandwidth
+
+    def test_without_policy_a_job_error_propagates(self, monkeypatch):
+        keys = sorted({j.cache_key() for j in _jobs()})
+        _install_backend(monkeypatch, PoisonBackend(keys[len(keys) // 2]))
+        with pytest.raises(RuntimeError, match="^poisoned job$"):
+            SweepExecutor(backend="poison", workers=2).run_many(_jobs())
+        outs = SweepExecutor(backend="fast", workers=2).run_many(_jobs())
+        assert [o.to_payload() for o in outs] == [
+            o.to_payload() for o in _clean_outcomes()
+        ]
+
+    def test_without_policy_a_worker_crash_propagates(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_RATE_ENV, "1.0")
+        with pytest.raises(BrokenProcessPool):
+            SweepExecutor(backend="fast", workers=2).run_many(_jobs())
+        monkeypatch.delenv(CHAOS_RATE_ENV)
+        outs = SweepExecutor(backend="fast", workers=2).run_many(_jobs())
+        assert [o.to_payload() for o in outs] == [
+            o.to_payload() for o in _clean_outcomes()
+        ]
 
     def test_hung_chunk_times_out_and_recovers(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CHAOS_HANG_ONCE_DIR_ENV, str(tmp_path / "hang"))
@@ -286,6 +341,41 @@ class TestPoolRecovery:
         assert [o.bandwidth for o in outs] == [o.bandwidth for o in clean]
         assert ex.stats.failures == 0
         assert ex.stats.retries > 0
+
+    def test_hung_workers_do_not_outlive_the_sweep(self, tmp_path):
+        # A timed-out pool's workers are terminated, so the process
+        # exits once the sweep is done instead of joining a worker that
+        # is still hanging.
+        (tmp_path / "hang").mkdir()
+        script = textwrap.dedent(
+            """
+            import json
+            from repro.memory.config import MemoryConfig
+            from repro.runner import RetryPolicy, SweepExecutor, jobs_for_offsets
+
+            cfg = MemoryConfig(banks=12, bank_cycle=3)
+            ex = SweepExecutor(
+                backend="fast", workers=2,
+                retry=RetryPolicy(
+                    max_retries=2, backoff_base_ms=0, chunk_timeout=0.25
+                ),
+            )
+            outs = ex.run_many(jobs_for_offsets(cfg, 1, 7, range(12)))
+            print(json.dumps([o.to_payload() for o in outs]))
+            """
+        )
+        env = {
+            **_subprocess_env(),
+            CHAOS_HANG_ONCE_DIR_ENV: str(tmp_path / "hang"),
+            CHAOS_HANG_MS_ENV: "30000",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=_REPO, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        clean = json.dumps([o.to_payload() for o in _clean_outcomes()])
+        assert proc.stdout.strip() == clean
 
     def test_chaos_never_fires_in_the_orchestrator(self, monkeypatch):
         # Inline execution with a 100% crash rate must be unaffected:

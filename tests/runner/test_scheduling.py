@@ -14,12 +14,7 @@ import pytest
 from repro.memory.config import MemoryConfig
 from repro.obs import capture_metrics, capture_spans
 from repro.obs import names as obs_names
-from repro.runner import (
-    ChunkRunner,
-    PoolScheduler,
-    SweepExecutor,
-    jobs_for_offsets,
-)
+from repro.runner import ChunkRunner, SweepExecutor, jobs_for_offsets
 from repro.runner.executor import ExecutorStats
 from repro.runner.scheduling import _ChunkTask, chunk_size, preferred_chunk
 
@@ -116,11 +111,10 @@ class TestPlan:
 class TestPoolStealing:
     def test_steal_splits_largest_clean_chunk(self):
         runner = _runner()
-        sched = PoolScheduler(4)
         big, small = _items(8), _items(2)
         queue = deque([_ChunkTask(small), _ChunkTask(big)])
         with capture_metrics() as reg, capture_spans() as rec:
-            sched._steal_split(queue, busy=1, runner=runner)
+            runner._steal(queue, idle=3)
         sizes = sorted(len(t.chunk) for t in queue)
         assert sizes == [2, 4, 4]
         steals = reg.counter(obs_names.SCHED_STEALS, scheduler="pool")
@@ -132,7 +126,7 @@ class TestPoolStealing:
     def test_no_steal_when_queue_covers_idle_slots(self):
         runner = _runner()
         queue = deque(_ChunkTask(_items(4)) for _ in range(3))
-        PoolScheduler(4)._steal_split(queue, busy=1, runner=runner)
+        runner._steal(queue, idle=3)
         assert all(len(t.chunk) == 4 for t in queue)
 
     def test_troubled_and_singleton_chunks_are_never_split(self):
@@ -140,7 +134,7 @@ class TestPoolStealing:
         troubled = _ChunkTask(_items(8), troubled=True)
         single = _ChunkTask(_items(1))
         queue = deque([troubled, single])
-        PoolScheduler(8)._steal_split(queue, busy=0, runner=runner)
+        runner._steal(queue, idle=8)
         assert [len(t.chunk) for t in queue] == [8, 1]
 
 

@@ -116,13 +116,36 @@ def test_validating_and_serving_a_pair_load_only_the_priority_rules():
         "        tiers.append(json.loads(raw)['tier'])\n"
         "    return tiers\n"
         "tiers = asyncio.run(main())\n"
+        "pools = sorted(m for m in ('multiprocessing',\n"
+        "                           'concurrent.futures.process')\n"
+        "               if m in sys.modules)\n"
         "print(json.dumps({'validated': validated, 'served': sim(),\n"
-        "                  'tiers': tiers}))"
+        "                  'tiers': tiers, 'pools': pools}))"
     )
     rules = ["repro.sim", "repro.sim.priority"]
     assert out == {
-        "validated": rules, "served": rules, "tiers": ["simulated", "memo"]
+        "validated": rules,
+        "served": rules,
+        "tiers": ["simulated", "memo"],
+        "pools": [],
     }
+
+
+def test_inline_sweep_loads_no_pool_machinery():
+    # Only a pooled run needs concurrent.futures and multiprocessing;
+    # importing them costs an inline sweep several milliseconds.
+    out = _fresh(
+        "import json, sys\n"
+        "from repro.memory.config import MemoryConfig\n"
+        "from repro.runner import SweepExecutor, jobs_for_offsets\n"
+        "cfg = MemoryConfig(banks=16, bank_cycle=4)\n"
+        "outs = SweepExecutor(backend='auto').run_many(\n"
+        "    jobs_for_offsets(cfg, 1, 6, range(16)))\n"
+        "print(json.dumps({'jobs': len(outs), 'pools': sorted(\n"
+        "    m for m in sys.modules\n"
+        "    if m.split('.')[0] in ('concurrent', 'multiprocessing'))}))"
+    )
+    assert out == {"jobs": 16, "pools": []}
 
 
 def test_batch_kernel_run_loads_numpy_with_fast_answers():
