@@ -305,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=list(available_backends()),
                    default="auto",
                    help="drain-tier backend (default auto)")
-    p.add_argument("--jobs", "--workers", type=int, default=1,
-                   metavar="N", dest="jobs",
-                   help="worker processes for the drain executor")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="shared result-store directory: repeats of stored "
                         "results are read from it, fresh results are "
@@ -608,7 +605,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         backend=args.backend,
         store_path=args.store,
-        workers=args.jobs,
         max_inflight=args.max_inflight,
         precompute_jobs=precompute_jobs,
     )

@@ -21,9 +21,8 @@ The per-file rules walk one AST at a time; the cross-file rules share a
 whole-program :class:`~repro.lint.index.ProjectIndex` built in a single
 parse pass.  The driver keeps an incremental cache
 (``.reprolint-cache.json``), fans files over a process pool
-(``--jobs``), renders SARIF 2.1.0 for code scanning (``--format
-sarif``), and can hold new rules against a committed baseline
-(``--baseline``).  See ``docs/LINT.md`` for the full rule catalog.
+(``--jobs``) and renders SARIF 2.1.0 for code scanning (``--format
+sarif``).  See ``docs/LINT.md`` for the full rule catalog.
 
 Run it with ``repro-mem lint`` or ``python tools/run_reprolint.py``;
 suppress intentional exceptions with ``# reprolint: disable=RULE``.
@@ -43,11 +42,9 @@ from .framework import (
     lint_file,
     lint_paths,
     lint_source,
-    load_baseline,
     module_name_for_path,
     register_rule,
     rules_digest,
-    write_baseline,
 )
 from .index import ModuleInfo, ProjectIndex
 from .report import render_json, render_text, to_json_dict
@@ -68,7 +65,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for_path",
     "register_rule",
     "render_json",
@@ -77,5 +73,4 @@ __all__ = [
     "rules_digest",
     "to_json_dict",
     "to_sarif_dict",
-    "write_baseline",
 ]

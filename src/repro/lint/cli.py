@@ -60,14 +60,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "next to pyproject.toml)",
     )
     parser.add_argument(
-        "--baseline", type=str, default=None, metavar="FILE",
-        help="filter findings against a committed baseline snapshot",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline with the current findings and exit clean",
-    )
-    parser.add_argument(
         "--report-unused-suppressions", action="store_true",
         help="flag # reprolint: waivers that no longer suppress anything "
              "(SUPPRESS001)",
@@ -119,9 +111,6 @@ def run_from_namespace(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline", file=sys.stderr)
-        return 2
 
     root = Path(args.root) if args.root else find_project_root(paths[0])
     cache: Path | None = None
@@ -135,11 +124,9 @@ def run_from_namespace(args: argparse.Namespace) -> int:
             root=root,
             jobs=args.jobs,
             cache=cache,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
             report_unused_suppressions=args.report_unused_suppressions,
         )
-    except ValueError as exc:  # unreadable baseline
+    except ValueError as exc:  # e.g. a rule that fails to register
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ Two rule shapes exist:
   (cross-file invariants: the import-layer DAG, process-pool pickle
   safety, metric-name discipline, dead exports, API-doc drift).
 
-The driver has three production features on top:
+``lint_paths`` has two production features on top:
 
 * an **incremental cache** (``.reprolint-cache.json``): per-file
   findings keyed by source digest + rule-set digest, project findings
@@ -25,10 +25,7 @@ The driver has three production features on top:
   tree re-lints zero files and parses zero ASTs;
 * **multiprocess file linting** (``jobs=N``) fanning files over a
   process pool (the workers are module-level callables — PAR001 eats
-  its own dogfood);
-* a **committed baseline** (``baseline=...``): findings fingerprinted
-  as ``(path, rule, message)`` and filtered against a checked-in
-  snapshot, so a new rule can land strict without a big-bang cleanup.
+  its own dogfood).
 
 Suppression: append ``# reprolint: disable=RULE`` (comma-separate for
 several rules, or ``all``) to the offending line, put
@@ -70,11 +67,9 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for_path",
     "register_rule",
     "rules_digest",
-    "write_baseline",
 ]
 
 #: Pseudo-rule reported when a file cannot be parsed at all.
@@ -118,10 +113,6 @@ class Finding:
             rule=str(data["rule"]),
             message=str(data["message"]),
         )
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Baseline identity: stable across line-number drift."""
-        return (self.path, self.rule, self.message)
 
 
 _DIRECTIVE = re.compile(
@@ -393,8 +384,6 @@ class LintReport:
     files_linted: int = 0
     #: files served straight from the incremental cache
     files_cached: int = 0
-    #: findings filtered out by the committed baseline
-    baselined: int = 0
     root: str | None = None
 
     @property
@@ -671,60 +660,6 @@ class LintCache:
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-_BASELINE_VERSION = 1
-
-
-def load_baseline(path: str | Path) -> dict[tuple[str, str, str], int]:
-    """Fingerprint -> count map from a committed baseline file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"unreadable baseline {path}: {exc}") from None
-    out: dict[tuple[str, str, str], int] = {}
-    for entry in data.get("entries", []):
-        key = (entry["path"], entry["rule"], entry["message"])
-        out[key] = out.get(key, 0) + int(entry.get("count", 1))
-    return out
-
-
-def write_baseline(path: str | Path, findings: Sequence[Finding]) -> None:
-    """Snapshot current findings as the accepted baseline."""
-    counts: dict[tuple[str, str, str], int] = {}
-    for f in findings:
-        counts[f.fingerprint()] = counts.get(f.fingerprint(), 0) + 1
-    doc = {
-        "version": _BASELINE_VERSION,
-        "tool": "reprolint",
-        "entries": [
-            {"path": p, "rule": r, "message": m, "count": n}
-            for (p, r, m), n in sorted(counts.items())
-        ],
-    }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _apply_baseline(
-    findings: list[Finding],
-    baseline: dict[tuple[str, str, str], int],
-) -> tuple[list[Finding], int]:
-    budget = dict(baseline)
-    kept: list[Finding] = []
-    dropped = 0
-    for f in findings:
-        key = f.fingerprint()
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            dropped += 1
-        else:
-            kept.append(f)
-    return kept, dropped
-
-
-# ----------------------------------------------------------------------
 # Multiprocess file linting
 # ----------------------------------------------------------------------
 def _lint_files_worker(
@@ -769,8 +704,6 @@ def lint_paths(
     progress: Callable[[str], None] | None = None,
     jobs: int = 1,
     cache: str | Path | None = None,
-    baseline: str | Path | None = None,
-    update_baseline: bool = False,
     report_unused_suppressions: bool = False,
 ) -> LintReport:
     """Lint files/directories plus the project-level rules.
@@ -784,8 +717,6 @@ def lint_paths(
     caching — the library default; the CLI passes
     ``<root>/.reprolint-cache.json`` unless ``--no-cache``).
     ``jobs`` > 1 fans un-cached files over a process pool.
-    ``baseline`` filters findings against a committed snapshot;
-    ``update_baseline`` rewrites that snapshot instead of failing.
     """
     active = rules if rules is not None else all_rules()
     report = LintReport()
@@ -937,19 +868,7 @@ def lint_paths(
                     )
                 )
 
-    # ------------------------------------------------------------------
-    # Baseline filtering
-    # ------------------------------------------------------------------
     report.findings.sort()
-    if update_baseline and baseline is not None:
-        write_baseline(baseline, report.findings)
-        report.baselined = len(report.findings)
-        report.findings = []
-    elif baseline is not None and Path(baseline).exists():
-        report.findings, report.baselined = _apply_baseline(
-            report.findings, load_baseline(baseline)
-        )
-
     if lint_cache is not None:
         lint_cache.write()
     return report

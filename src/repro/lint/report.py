@@ -17,7 +17,8 @@ __all__ = ["JSON_SCHEMA_VERSION", "render_json", "render_text", "to_json_dict"]
 #: Bump when the JSON report layout changes incompatibly.
 #: v2: adds files_linted / files_cached / baselined (incremental cache
 #: and baseline accounting).
-JSON_SCHEMA_VERSION = 2
+#: v3: drops baselined (the baseline mode is gone).
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(report: LintReport) -> str:
@@ -29,13 +30,10 @@ def render_text(report: LintReport) -> str:
             f" ({report.files_linted} linted, "
             f"{report.files_cached} from cache)"
         )
-    baseline_note = (
-        f", {report.baselined} baselined" if report.baselined else ""
-    )
     if report.clean:
         lines.append(
             f"reprolint: {report.files_checked} files checked"
-            f"{cache_note}, clean{baseline_note}"
+            f"{cache_note}, clean"
         )
     else:
         by_rule = ", ".join(
@@ -44,7 +42,7 @@ def render_text(report: LintReport) -> str:
         lines.append(
             f"reprolint: {len(report.findings)} finding(s) in "
             f"{report.files_checked} files{cache_note} "
-            f"({by_rule}){baseline_note}"
+            f"({by_rule})"
         )
     return "\n".join(lines)
 
@@ -58,7 +56,6 @@ def to_json_dict(report: LintReport) -> dict[str, object]:
         "files_checked": report.files_checked,
         "files_linted": report.files_linted,
         "files_cached": report.files_cached,
-        "baselined": report.baselined,
         "clean": report.clean,
         "counts": report.counts(),
         "findings": [f.as_dict() for f in report.findings],

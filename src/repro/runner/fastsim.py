@@ -14,16 +14,22 @@ against it with short-circuiting C-level list equality; memory is O(1)
 in the run length and the per-clock cost is dominated by the arbitration
 itself.
 
+Arbitration has one input, the job's
+:class:`~repro.sim.arbiter.ArbiterPolicy` — the same protocol object
+the reference engine consults — and one per-clock step that ranks
+contenders and (when regulated) vetoes admissions through it.
+
 Two-stream jobs run fused loops (span, detector walk, meeting walk)
-with every hot value in integer locals and no rule calls per clock,
-when both conflict kinds are arbitrated by fixed rules or by one shared
-``cyclic`` / ``block-cyclic:N`` rule.  A two-port rotating rule's state
-is a function of the clock alone, so the loops read its phase once on
-entry, compute the winner only on a conflicting clock, and write the
-phase back on exit.  LRU rules, split rules (a separate
-``intra_priority`` other than fixed/fixed), arbiter policies and jobs
-with three or more streams step clock by clock through the generic
-three-phase arbitration.
+with every hot value in integer locals and no policy calls per clock,
+when the policy is a plain :class:`~repro.sim.arbiter.PriorityArbiter`
+whose conflict kinds are both arbitrated by fixed rules or by one
+shared ``cyclic`` / ``block-cyclic:N`` rule.  A two-port rotating
+rule's state is a function of the clock alone, so the loops read its
+phase from the policy snapshot once on entry, compute the winner only
+on a conflicting clock, and restore the phase on exit.  LRU rules,
+split rules (a separate ``intra_priority`` other than fixed/fixed),
+weighted-fair and regulated policies and jobs with three or more
+streams step clock by clock.
 
 Bit-identity contract (relied on by the backends and locked by
 ``tests/property``): for the same start state the detector reports
@@ -57,9 +63,9 @@ def _record_steady(mu: int, lam: int) -> None:
         reg.histogram(_names.FASTSIM_STEADY_MU).observe(mu)
         reg.histogram(_names.FASTSIM_STEADY_LAM).observe(lam)
 
-#: One full comparable state: positions, priority snapshots, bank
+#: One full comparable state: positions, policy snapshot, bank
 #: countdowns.  Positions lead because they discriminate fastest.
-StateKey = tuple[list[int], tuple, tuple, list[int]]
+StateKey = tuple[list[int], tuple, list[int]]
 
 
 def _rotation_block(rule: "PriorityRule") -> int | None:
@@ -83,7 +89,8 @@ class FlatSim:
     Semantically identical to :class:`repro.sim.engine.Engine` for
     infinite constant-stride streams (the property suite cross-checks
     every steady outcome); keeps no statistics, no trace, and allocates
-    nothing per clock on the conflict-free path.
+    nothing per clock on the conflict-free path.  ``policy`` is the one
+    arbitration input and part of the simulated state.
     """
 
     __slots__ = (
@@ -94,22 +101,15 @@ class FlatSim:
         "cpu",
         "pos",
         "stride",
-        "prio",
-        "intra",
         "policy",
-        "same_rule",
         "static_rules",
         "rotation",
         "busy",
         "grants",
         "cycle",
         "ports",
-        "step",
         "_pair_same_cpu",
     )
-
-    #: Per-instance dispatch: the specialised or generic step function.
-    step: Callable[[], None]
 
     def __init__(
         self,
@@ -120,12 +120,11 @@ class FlatSim:
         cpus: Sequence[int],
         positions: Sequence[int],
         strides: Sequence[int],
-        prio: "PriorityRule | None" = None,
-        intra: "PriorityRule | None" = None,
-        policy: "ArbiterPolicy | None" = None,
+        policy: "ArbiterPolicy",
         busy: Sequence[int] | None = None,
         start_cycle: int = 0,
     ) -> None:
+        from ..sim.arbiter import PriorityArbiter
         from ..sim.priority import FixedPriority
 
         self.m = m
@@ -136,38 +135,23 @@ class FlatSim:
         self.pos = [b % m for b in positions]
         self.stride = [d % m for d in strides]
         self.policy = policy
-        if policy is not None:
-            # Generic arbiter-policy path: the policy subsumes both
-            # rules; state identity compares its snapshot.
-            if prio is not None or intra is not None:
-                raise ValueError("pass either policy= or prio=/intra=")
-            self.prio = None
-            self.intra = None
-            self.same_rule = True
-            self.static_rules = False
-            self.rotation = None
-        else:
-            if prio is None:
-                raise ValueError("need prio= (or policy=)")
-            self.prio = prio
-            self.intra = prio if intra is None else intra
-            self.same_rule = self.intra is prio
-            # Rules whose snapshot is statically empty need no state
-            # compare.
-            self.static_rules = isinstance(prio, FixedPriority) and (
-                self.same_rule or isinstance(self.intra, FixedPriority)
+        # A plain priority arbiter over fixed rules is stateless: its
+        # snapshot needs no compare and walkers may share it.
+        # ``rotation`` is the shape the fused two-port loops take: 0 for
+        # fixed rules (they never rotate), the block length of one
+        # shared rotating rule, and None for everything else.
+        self.static_rules = False
+        self.rotation: int | None = None
+        if type(policy) is PriorityArbiter:
+            prio, intra = policy.priority, policy.intra
+            self.static_rules = isinstance(prio, FixedPriority) and isinstance(
+                intra, FixedPriority
             )
-            # The shapes the fused two-port loops take: ``rotation`` is
-            # 0 for fixed rules (they never rotate), the block length of
-            # one shared rotating rule, and None for everything else.
-            if self.n != 2:
-                self.rotation = None
-            elif self.static_rules:
-                self.rotation = 0
-            elif self.same_rule:
-                self.rotation = _rotation_block(prio)
-            else:
-                self.rotation = None
+            if self.n == 2:
+                if self.static_rules:
+                    self.rotation = 0
+                elif intra is prio:
+                    self.rotation = _rotation_block(prio)
         # Banks are tracked as absolute busy-until clocks (bank ``b`` is
         # free at clock ``t`` iff ``busy[b] <= t``), not countdowns: a
         # grant writes one timestamp and the per-clock decrement sweep
@@ -179,14 +163,11 @@ class FlatSim:
             else [start_cycle + c if c else 0 for c in busy]
         )
         self.grants = [0] * self.n
-        # Absolute clock fed to the priority rules: rules cloned from a
+        # Absolute clock fed to the policy: policies cloned from a
         # mid-run engine carry timestamps in the engine's numbering.
         self.cycle = start_cycle
         self.ports = list(range(self.n))
         self._pair_same_cpu = self.n == 2 and self.cpu[0] == self.cpu[1]
-        self.step = (
-            self._step_policy if self.policy is not None else self._step_generic
-        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -199,38 +180,12 @@ class FlatSim:
         table across every job with the same memory shape.
         """
         from ..memory.sections import section_map_for
-        from ..sim.priority import make_priority
+        from ..sim.arbiter import make_arbiter
 
         m = job.banks
         if sect is None:
             smap = section_map_for(job.config)
             sect = [smap.section_of(j) for j in range(m)]
-        n = len(job.streams)
-        if job.arbiter is not None or job.regulate:
-            from ..sim.arbiter import make_arbiter
-
-            return cls(
-                m=m,
-                n_c=job.bank_cycle,
-                sect=sect,
-                cpus=job.cpus,
-                positions=[b for b, _ in job.streams],
-                strides=[d for _, d in job.streams],
-                policy=make_arbiter(
-                    n,
-                    m,
-                    priority=job.priority,
-                    intra_priority=job.intra_priority,
-                    arbiter=job.arbiter,
-                    regulate=job.regulate,
-                ),
-            )
-        prio = make_priority(job.priority, n)
-        intra = (
-            prio
-            if job.intra_priority is None
-            else make_priority(job.intra_priority, n)
-        )
         return cls(
             m=m,
             n_c=job.bank_cycle,
@@ -238,14 +193,20 @@ class FlatSim:
             cpus=job.cpus,
             positions=[b for b, _ in job.streams],
             strides=[d for _, d in job.streams],
-            prio=prio,
-            intra=intra,
+            policy=make_arbiter(
+                len(job.streams),
+                m,
+                priority=job.priority,
+                intra_priority=job.intra_priority,
+                arbiter=job.arbiter,
+                regulate=job.regulate,
+            ),
         )
 
     def clone_start(self) -> "FlatSim":
         """Cheap structural copy of this (never-stepped) template.
 
-        Only valid for static rules, whose objects are stateless and can
+        Only valid for static rules, whose policy is stateless and can
         be shared between walkers; read-only tables (``sect``, ``cpu``,
         ``stride``) are shared, mutable state is copied.
         """
@@ -257,10 +218,7 @@ class FlatSim:
         new.cpu = self.cpu
         new.pos = self.pos.copy()
         new.stride = self.stride
-        new.prio = self.prio
-        new.intra = self.intra
-        new.policy = None
-        new.same_rule = self.same_rule
+        new.policy = self.policy
         new.static_rules = self.static_rules
         new.rotation = self.rotation
         new.busy = self.busy.copy()
@@ -268,17 +226,15 @@ class FlatSim:
         new.cycle = self.cycle
         new.ports = self.ports
         new._pair_same_cpu = self._pair_same_cpu
-        new.step = new._step_generic
         return new
 
     # ------------------------------------------------------------------
     # One clock period — the exact three-phase arbitration of
     # Engine.step(), on flat state.
     # ------------------------------------------------------------------
-    def _step_policy(self) -> None:
-        """Arbiter-policy step: the generic three-phase arbitration
-        with the policy ranking contenders and (when regulated) vetoing
-        admissions — the flat mirror of ``Engine.step`` on a policy."""
+    def _step_generic(self) -> None:
+        """One clock, the policy ranking contenders and (when regulated)
+        vetoing admissions — the flat mirror of ``Engine.step``."""
         busy = self.busy
         pos = self.pos
         cycle = self.cycle
@@ -341,76 +297,12 @@ class FlatSim:
         pol.tick(cycle)
         self.cycle = cycle + 1
 
-    def _step_generic(self) -> None:
-        busy = self.busy
-        pos = self.pos
-        cycle = self.cycle
-        # Phase 1 — bank conflicts: active banks reject everyone.
-        free = [p for p in self.ports if busy[pos[p]] <= cycle]
-        # Phase 2 — section conflicts: per (cpu, path) at most one.
-        if len(free) > 1:
-            cpu = self.cpu
-            sect = self.sect
-            groups: dict[tuple[int, int], list[int]] = {}
-            for p in free:
-                key = (cpu[p], sect[pos[p]])
-                g = groups.get(key)
-                if g is None:
-                    groups[key] = [p]
-                else:
-                    g.append(p)
-            if len(groups) != len(free):
-                intra = self.intra
-                free = [
-                    members[0]
-                    if len(members) == 1
-                    else intra.choose(members, cycle)
-                    for members in groups.values()
-                ]
-            # Phase 3 — simultaneous bank conflicts: per bank at most
-            # one grant (cross-CPU by construction after phase 2).
-            if len(free) > 1:
-                banks: dict[int, list[int]] = {}
-                for p in free:
-                    b = pos[p]
-                    g = banks.get(b)
-                    if g is None:
-                        banks[b] = [p]
-                    else:
-                        g.append(p)
-                if len(banks) != len(free):
-                    prio = self.prio
-                    free = [
-                        members[0]
-                        if len(members) == 1
-                        else prio.choose(sorted(members), cycle)
-                        for members in banks.values()
-                    ]
-        # Commit grants.
-        m = self.m
-        until = cycle + self.n_c
-        stride = self.stride
-        grants = self.grants
-        prio = self.prio
-        for p in free:
-            b = pos[p]
-            busy[b] = until
-            grants[p] += 1
-            b += stride[p]
-            pos[p] = b - m if b >= m else b
-            prio.granted(p, cycle)
-        # Clock edge.
-        prio.tick(cycle)
-        if not self.same_rule:
-            self.intra.tick(cycle)
-        self.cycle = cycle + 1
-
     def run_span(self, clocks: int) -> None:
         """Advance a fixed number of clock periods."""
         if self.rotation is not None:
             self._run_span_pair(clocks)
             return
-        step = self.step
+        step = self._step_generic
         for _ in range(clocks):
             step()
 
@@ -419,16 +311,20 @@ class FlatSim:
     # and on one section of one CPU, or on one bank across CPUs) grants
     # port 1 iff ``rot and ((t + ph) // rot) & 1``, where ``rot`` is
     # the rotation block (0 for fixed rules: port 0 always wins) and
-    # ``ph`` the phase offset read once on entry; no rule is called per
-    # clock, and the rule's phase is written back on exit.
+    # ``ph`` the phase offset read once on entry; the policy is not
+    # called per clock, and the rule's phase is restored on exit.
     # ------------------------------------------------------------------
     def _phase(self) -> int:
         """Offset ``ph`` such that the rotating rule's snapshot at clock
-        ``t`` is ``(t + ph) % (2 * rotation)`` (0 for fixed rules)."""
+        ``t`` is ``(t + ph) % (2 * rotation)`` (0 for fixed rules).
+
+        The policy's snapshot is ``(priority, intra)``, one shared rule
+        in both places.
+        """
         rot = self.rotation
         if not rot:
             return 0
-        return (self.prio.snapshot()[0] - self.cycle) % (2 * rot)
+        return (self.policy.snapshot()[0][0] - self.cycle) % (2 * rot)
 
     def _write_back(self, b0: int, b1: int, c0: int, c1: int, t: int, ph: int) -> None:
         """Write a fused loop's locals back, the rule's phase included."""
@@ -439,7 +335,8 @@ class FlatSim:
         self.cycle = t
         rot = self.rotation
         if rot:
-            self.prio.restore(((t + ph) % (2 * rot),))
+            phase = ((t + ph) % (2 * rot),)
+            self.policy.restore((phase, phase))
 
     def _run_span_pair(self, clocks: int) -> None:
         """Fused two-port loop: one frame for the whole span, all hot
@@ -495,7 +392,7 @@ class FlatSim:
         """
         if self.rotation is not None:
             return self._walk_until_match_pair(key, window)
-        step = self.step
+        step = self._step_generic
         matches = self.matches
         for taken in range(1, window + 1):
             step()
@@ -521,8 +418,8 @@ class FlatSim:
         ph = self._phase()
         period = 2 * rot if rot else 1
         k0, k1 = key[0]
-        kph = key[1][0] if rot else 0
-        kbusy = key[3]
+        kph = key[1][0][0] if rot else 0
+        kbusy = key[2]
         b0, b1 = self.pos
         c0, c1 = self.grants
         t = self.cycle
@@ -576,19 +473,7 @@ class FlatSim:
 
     def key(self) -> StateKey:
         """Copy of the full comparable state (the detector's anchor)."""
-        if self.policy is not None:
-            return (
-                self.pos.copy(),
-                self.policy.snapshot(),
-                (),
-                self._busy_counters(),
-            )
-        return (
-            self.pos.copy(),
-            self.prio.snapshot(),
-            self.intra.snapshot(),
-            self._busy_counters(),
-        )
+        return (self.pos.copy(), self.policy.snapshot(), self._busy_counters())
 
     def matches(self, key: StateKey) -> bool:
         """Whether the live state equals an anchor (short-circuiting).
@@ -598,27 +483,18 @@ class FlatSim:
         """
         if self.pos != key[0]:
             return False
-        if self.policy is not None:
-            if self.policy.snapshot() != key[1]:
-                return False
-        elif not self.static_rules and (
-            self.prio.snapshot() != key[1]
-            or self.intra.snapshot() != key[2]
-        ):
+        if not self.static_rules and self.policy.snapshot() != key[1]:
             return False
-        return self._busy_counters() == key[3]
+        return self._busy_counters() == key[2]
 
     def same_state(self, other: "FlatSim") -> bool:
         """Whether two walkers of one workload are in the same state
         (the walkers may sit at different absolute clocks)."""
         if self.pos != other.pos:
             return False
-        if self.policy is not None:
-            if self.policy.snapshot() != other.policy.snapshot():
-                return False
-        elif not self.static_rules and (
-            self.prio.snapshot() != other.prio.snapshot()
-            or self.intra.snapshot() != other.intra.snapshot()
+        if (
+            not self.static_rules
+            and self.policy.snapshot() != other.policy.snapshot()
         ):
             return False
         return self._busy_counters() == other._busy_counters()
@@ -792,8 +668,8 @@ def find_steady_cycle(
     while not trail.same_state(lead):
         if mu + lam >= max_cycles:
             raise exhausted()
-        trail.step()
-        lead.step()
+        trail._step_generic()
+        lead._step_generic()
         mu += 1
     _record_steady(mu, lam)
     return mu, lam, tuple(trail.grants), tuple(lead.grants)

@@ -59,6 +59,10 @@ _Chunk = list[tuple[str, SimJob]]
 #: A pool worker's argument bundle: the chunk's jobs plus backend name.
 _PayloadArgs = tuple[list[SimJob], "str | None"]
 
+#: Seconds :func:`_stop_pool` waits for a condemned pool's manager
+#: thread; with its workers terminated it exits within milliseconds.
+_MANAGER_JOIN_S = 5
+
 
 @dataclass
 class _ChunkTask:
@@ -116,16 +120,23 @@ def chunk_size(n_items: int, workers: int, preferred: int) -> int:
 
 
 def _stop_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut ``pool`` down without waiting and terminate its workers.
+    """Shut ``pool`` down without waiting, terminate its workers and
+    join its manager thread.
 
     ``shutdown`` alone leaves a hung worker running, and the
-    interpreter's exit hook then joins it.  The workers are read first
-    because ``shutdown`` drops the pool's reference to them
-    (``terminate_workers`` does the same from Python 3.14)."""
+    interpreter's exit hook then joins it.  The workers and the manager
+    thread are read first because ``shutdown`` drops the pool's
+    reference to them (``terminate_workers`` does the same from Python
+    3.14).  Once its workers are gone the manager thread tears the pool
+    down and closes its wakeup pipe; joining it (with a bound) keeps the
+    exit hook from writing to that pipe while it closes."""
     workers = list((pool._processes or {}).values())
+    manager = pool._executor_manager_thread
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in workers:
         proc.terminate()
+    if manager is not None:
+        manager.join(_MANAGER_JOIN_S)
 
 
 class ChunkRunner:

@@ -530,7 +530,6 @@ def run_server(
     port: int = 8080,
     backend: str = "auto",
     store_path: str | None = None,
-    workers: int = 1,
     max_inflight: int = 64,
     precompute_jobs: list[SimJob] | None = None,
     announce: Callable[[str], object] = print,
@@ -547,9 +546,7 @@ def run_server(
     A listener that cannot bind (address in use, unresolvable host)
     raises ``ValueError`` naming ``host:port``.
     """
-    executor = SweepExecutor(
-        backend=backend, workers=workers, store_path=store_path
-    )
+    executor = SweepExecutor(backend=backend, store_path=store_path)
     service = BandwidthService(executor=executor, max_inflight=max_inflight)
 
     async def _precompute(svc: BandwidthService) -> None:

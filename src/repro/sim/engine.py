@@ -345,7 +345,10 @@ class Engine:
         the historical ``seen`` dictionary retained every visited
         state), then the engine itself replays exactly those
         ``transient + period`` clocks so statistics and traces come out
-        as they always have.
+        as they always have.  Every walker arbitrates with a deep copy
+        of :attr:`arbiter`, the policy this engine steps with, whatever
+        its kind; a plain priority wiring still runs the walkers' fused
+        two-port loops where its rules allow.
         """
         import copy
 
@@ -367,26 +370,9 @@ class Engine:
 
         def make() -> FlatSim:
             # The arbiter is part of the simulated state: each walker
-            # gets a fresh deep copy (jointly, preserving
-            # intra-is-priority aliasing) and continues the engine's
-            # clock numbering so timestamp-based rules (LRU) stay
-            # consistent.  Plain priority wiring unwraps to the rule
-            # pair so the walkers keep their specialised fast paths.
-            policy = self.arbiter
-            if type(policy) is PriorityArbiter:
-                prio, intra = copy.deepcopy((policy.priority, policy.intra))
-                return FlatSim(
-                    m=m,
-                    n_c=self.config.bank_cycle,
-                    sect=sect,
-                    cpus=cpus,
-                    positions=positions,
-                    strides=strides,
-                    prio=prio,
-                    intra=intra,
-                    busy=busy,
-                    start_cycle=start_cycle,
-                )
+            # gets a fresh deep copy (preserving intra-is-priority
+            # aliasing) and continues the engine's clock numbering so
+            # timestamp-based rules (LRU) stay consistent.
             return FlatSim(
                 m=m,
                 n_c=self.config.bank_cycle,
@@ -394,7 +380,7 @@ class Engine:
                 cpus=cpus,
                 positions=positions,
                 strides=strides,
-                policy=copy.deepcopy(policy),
+                policy=copy.deepcopy(self.arbiter),
                 busy=busy,
                 start_cycle=start_cycle,
             )

@@ -100,24 +100,23 @@ class TestJsonReport:
         assert stdout_doc == file_doc
         for key in (
             "schema_version", "tool", "files_checked", "files_linted",
-            "files_cached", "baselined", "clean", "counts", "findings",
-            "root",
+            "files_cached", "clean", "counts", "findings", "root",
         ):
             assert key in file_doc
+        assert "baselined" not in file_doc
         assert file_doc["tool"] == "reprolint"
-        assert file_doc["schema_version"] == JSON_SCHEMA_VERSION == 2
+        assert file_doc["schema_version"] == JSON_SCHEMA_VERSION == 3
 
 
 class TestNewFlags:
     def test_parser_knows_the_production_flags(self):
         args = build_parser().parse_args(
             ["src", "--jobs", "4", "--format", "sarif", "--no-cache",
-             "--baseline", "b.json", "--report-unused-suppressions"]
+             "--report-unused-suppressions"]
         )
         assert args.jobs == 4
         assert args.output_format == "sarif"
         assert args.no_cache
-        assert args.baseline == "b.json"
         assert args.report_unused_suppressions
 
     def test_sarif_output_to_file(self, tmp_path):
@@ -154,21 +153,6 @@ class TestNewFlags:
         assert warm["files_linted"] == 0
         assert warm["files_cached"] == warm["files_checked"]
 
-    def test_baseline_flags_roundtrip(self, tmp_path):
-        tree = _tree_with(tmp_path, "def f(a, b):\n    return a / b\n")
-        baseline = tmp_path / "baseline.json"
-        first = run_tool(
-            str(tree / "src"), "--baseline", baseline,
-            "--update-baseline", "--no-cache", cwd=tmp_path,
-        )
-        assert first.returncode == 0, first.stdout + first.stderr
-        second = run_tool(
-            str(tree / "src"), "--baseline", baseline, "--no-cache",
-            cwd=tmp_path,
-        )
-        assert second.returncode == 0
-        assert "baselined" in second.stdout
-
 
 class TestCliErrors:
     def test_unknown_rule_is_usage_error(self):
@@ -176,10 +160,12 @@ class TestCliErrors:
         assert proc.returncode == 2
         assert "unknown rule" in proc.stderr
 
-    def test_update_baseline_requires_baseline(self):
-        proc = run_tool("src", "--update-baseline")
-        assert proc.returncode == 2
-        assert "--baseline" in proc.stderr
+    def test_baseline_flags_are_usage_errors(self):
+        # The baseline mode is gone; its flags are unknown arguments.
+        for flags in (("--baseline", "b.json"), ("--update-baseline",)):
+            proc = run_tool("src", *flags)
+            assert proc.returncode == 2
+            assert f"unrecognized arguments: {flags[0]}" in proc.stderr
 
     def test_zero_jobs_is_usage_error(self):
         proc = run_tool("src", "--jobs", "0")

@@ -7,7 +7,9 @@ tests/property/test_scheduler_equivalence.py.
 
 from __future__ import annotations
 
+import time
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,7 +18,12 @@ from repro.obs import capture_metrics, capture_spans
 from repro.obs import names as obs_names
 from repro.runner import ChunkRunner, SweepExecutor, jobs_for_offsets
 from repro.runner.executor import ExecutorStats
-from repro.runner.scheduling import _ChunkTask, chunk_size, preferred_chunk
+from repro.runner.scheduling import (
+    _ChunkTask,
+    _stop_pool,
+    chunk_size,
+    preferred_chunk,
+)
 
 CFG = MemoryConfig(banks=12, bank_cycle=3)
 
@@ -149,3 +156,22 @@ class TestSchedulerSelection:
             ex.run_many(jobs_for_offsets(CFG, 1, 7, range(6)))
         chunks = reg.counter(obs_names.SCHED_CHUNKS, scheduler="inline")
         assert chunks.value == 1
+
+
+class TestStopPool:
+    def test_hung_pool_manager_thread_is_joined(self):
+        # Once the workers are terminated the manager thread closes the
+        # pool's wakeup pipe; the interpreter's exit hook writes to that
+        # pipe, so the thread must be gone when _stop_pool returns.
+        pool = ProcessPoolExecutor(max_workers=2)
+        hung = [pool.submit(time.sleep, 60) for _ in range(2)]
+        manager = pool._executor_manager_thread
+        try:
+            deadline = time.monotonic() + 10
+            while not all(f.running() for f in hung):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert manager is not None and manager.is_alive()
+        finally:
+            _stop_pool(pool)
+        assert not manager.is_alive()

@@ -341,6 +341,14 @@ class TestServeListener:
         assert "port must be an integer in 0-65535" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--jobs", "--workers"])
+    def test_worker_count_exits_2(self, option, capsys):
+        # The drain runs in process: serve takes no worker count.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", option, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
+
     def test_occupied_port_exits_2_with_one_line(self, capsys):
         import socket
 

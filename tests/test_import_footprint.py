@@ -122,10 +122,12 @@ def test_validating_and_serving_a_pair_load_only_the_priority_rules():
         "print(json.dumps({'validated': validated, 'served': sim(),\n"
         "                  'tiers': tiers, 'pools': pools}))"
     )
+    # A simulated answer also loads the arbiter policy layer, the fast
+    # engine's one arbitration input.
     rules = ["repro.sim", "repro.sim.priority"]
     assert out == {
         "validated": rules,
-        "served": rules,
+        "served": ["repro.sim", "repro.sim.arbiter", "repro.sim.priority"],
         "tiers": ["simulated", "memo"],
         "pools": [],
     }
