@@ -366,45 +366,38 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .analysis.report import fraction_str
-    from .core.stream import AccessStream
     from .runner import SimJob, SweepExecutor, run
 
     cfg = _memory(args)
-    streams = [
-        AccessStream(start_bank=b % cfg.banks, stride=d % cfg.banks,
-                     label=str(i + 1))
-        for i, (b, d) in enumerate(args.stream)
-    ]
     cpus = (
         [int(x) for x in args.cpus.split(",")]
         if args.cpus
-        else list(range(len(streams)))
+        else list(range(len(args.stream)))
     )
-    if args.trace is not None:
-        from .sim.engine import simulate_streams
-        from .viz.ascii_trace import render_result
-
-        # Trace rendering needs the reference engine's event log, which
-        # SimOutcome does not carry; the steady numbers below still ride
-        # the runner.  # reprolint: disable-next=LAYER001
-        res = simulate_streams(
-            cfg, streams, cpus=cpus, priority=args.priority,
-            arbiter=args.arbiter, regulate=tuple(args.regulate),
-            cycles=args.trace + 8, trace=True,
-        )
-        print(render_result(res, stop=args.trace,
-                            show_sections=cfg.sectioned,
-                            show_priority=args.show_priority))
-        print()
     job = SimJob.from_specs(
         cfg,
-        [(b % cfg.banks, d % cfg.banks) for b, d in args.stream],
+        args.stream,
         cpus=cpus,
         priority=args.priority,
         arbiter=args.arbiter,
         regulate=args.regulate,
     )
+    if args.trace is not None:
+        from .viz.ascii_trace import render_result
+
+        # A trace job runs on the reference engine, whose result (event
+        # log included) the outcome carries.
+        traced = run(
+            replace(job, steady=False, cycles=args.trace + 8, trace=True)
+        ).result
+        assert traced is not None
+        print(render_result(traced, stop=args.trace,
+                            show_sections=cfg.sectioned,
+                            show_priority=args.show_priority))
+        print()
     policy = _retry_policy(args)
     if policy is not None:
         out = SweepExecutor(backend=args.backend, retry=policy).run_one(job)

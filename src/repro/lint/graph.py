@@ -65,14 +65,17 @@ LEAF_PACKAGES = frozenset({"obs", "lint"})
 #: Sanctioned upward edges (importer module, imported module): the
 #: engine-primitive boundary the runner backends own (mirror of
 #: LAYER001's ``BLESSED`` module set), plus the spec-validation
-#: boundary — ``SimJob`` and the analytic tier consult the sim layer's
-#: priority/arbiter grammar (function-scoped imports, so the eager
-#: graph stays acyclic) to reject malformed specs at construction and
-#: to keep closed forms honest about regulated jobs.
+#: boundary — ``SimJob``, the analytic tier and the batch kernel consult
+#: the sim layer's priority/arbiter grammar to reject malformed specs at
+#: construction, to keep closed forms honest about regulated jobs and
+#: to read rule kinds.  Those grammar modules import nothing from the
+#: runner, and the runner's other edges are function-scoped, so the
+#: eager graph stays acyclic.
 BLESSED_EDGES = frozenset(
     {
         ("repro.runner.analytic", "repro.sim.arbiter"),
         ("repro.runner.backends", "repro.sim.engine"),
+        ("repro.runner.batchsim", "repro.sim.priority"),
         ("repro.runner.fastsim", "repro.sim.arbiter"),
         ("repro.runner.fastsim", "repro.sim.priority"),
         ("repro.runner.job", "repro.sim.arbiter"),

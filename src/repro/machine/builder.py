@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from ..memory.config import MemoryConfig
 from ..sim.port import Port
-from ..sim.priority import PriorityRule
 from .cpu import CpuModel, CpuPort
 from .instructions import PortKind
 from .scheduler import MachineSimulation
@@ -78,7 +77,7 @@ class MachineSpec:
 def build_machine(
     spec: MachineSpec,
     *,
-    priority: PriorityRule | str = "cyclic",
+    priority: str = "cyclic",
     trace: bool = False,
 ) -> MachineSimulation:
     """Instantiate an empty machine from a spec."""
@@ -130,7 +129,7 @@ def run_on(
     *,
     cpu: int = 0,
     background: dict[int, dict[int, object]] | None = None,
-    priority: PriorityRule | str = "cyclic",
+    priority: str = "cyclic",
     max_cycles: int = 2_000_000,
 ):
     """Run an instruction program on one CPU of a described machine.

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..memory.config import MemoryConfig
 from ..memory.layout import triad_common_block
-from ..sim.priority import PriorityRule
 from ..sim.stats import ConflictKind
 from .workloads import TRIAD_IDIM, triad_program
 from .xmp import XMP_CONFIG, build_xmp
@@ -71,7 +70,7 @@ def dueling_triads(
     n: int = 512,
     config: MemoryConfig = XMP_CONFIG,
     chain_latency: int = 8,
-    priority: PriorityRule | str = "cyclic",
+    priority: str = "cyclic",
     separate_commons: bool = True,
 ) -> DuelResult:
     """Run a triad on each CPU simultaneously.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..memory.config import MemoryConfig
 from ..sim.engine import Engine
-from ..sim.priority import PriorityRule
 from ..sim.stats import SimStats
 from ..sim.trace import TraceRecorder
 from .cpu import CpuModel
@@ -43,7 +42,7 @@ class MachineSimulation:
         config: MemoryConfig,
         cpus: list[CpuModel],
         *,
-        priority: PriorityRule | str = "cyclic",
+        priority: str = "cyclic",
         trace: bool = False,
     ) -> None:
         if not cpus:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from ..memory.config import MemoryConfig
 from ..memory.layout import CommonBlock, triad_common_block
 from ..sim.port import Port
-from ..sim.priority import PriorityRule
 from ..sim.stats import ConflictKind, SimStats
 from .cpu import CpuModel, CpuPort
 from .instructions import PortKind
@@ -76,7 +75,7 @@ def build_xmp(
     *,
     config: MemoryConfig = XMP_CONFIG,
     chain_latency: int = 8,
-    priority: PriorityRule | str = "cyclic",
+    priority: str = "cyclic",
     trace: bool = False,
 ) -> MachineSimulation:
     """Assemble a two-CPU X-MP with empty programs."""
@@ -98,7 +97,7 @@ def run_program(
     other_cpu_active: bool = True,
     config: MemoryConfig = XMP_CONFIG,
     chain_latency: int = 8,
-    priority: PriorityRule | str = "cyclic",
+    priority: str = "cyclic",
     trace: bool = False,
     label_inc: int = 0,
 ) -> TriadResult:
@@ -143,7 +142,7 @@ def run_triad(
     idim: int = TRIAD_IDIM,
     config: MemoryConfig = XMP_CONFIG,
     chain_latency: int = 8,
-    priority: PriorityRule | str = "cyclic",
+    priority: str = "cyclic",
     common: CommonBlock | None = None,
     trace: bool = False,
 ) -> TriadResult:

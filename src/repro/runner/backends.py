@@ -11,7 +11,7 @@
     bit-identical steady-state results (exact ``Fraction`` bandwidth,
     period, per-port grants, transient length) at a multiple of the
     reference throughput, and is cross-checked against the reference by
-    ``tests/property/test_backend_equivalence.py`` on every CI run.
+    the path harness ``tests/property/paths.py`` on every CI run.
 ``analytic``
     The closed-form solver of :mod:`repro.runner.analytic` as a strict
     backend — raises on jobs the theory does not decide.

@@ -24,7 +24,7 @@ structure-of-arrays state:
 Bit-identity contract: for every lane the reported ``(mu, lam,
 per-port grants)`` triple — and the ``RuntimeError`` raised when
 ``mu + lam`` exceeds ``max_cycles`` — is exactly what the fast backend
-computes for that job alone.  ``tests/property/test_batch_equivalence``
+computes for that job alone.  The path harness ``tests/property/paths.py``
 locks this over randomized mixed populations.
 
 Exactness discipline: all state arrays are ``int64`` (or ``bool_``)
@@ -45,6 +45,7 @@ from numpy.typing import NDArray
 from ..memory.config import MemoryConfig
 from ..obs import metrics as _metrics
 from ..obs import names as _names
+from ..sim.priority import parse_priority
 from .analytic import BATCH_MIN_POPULATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,13 +71,15 @@ SectCache = dict[tuple[int, "int | None", str], IntArray]
 _TAIL_MIN_LANES = 32
 _TAIL_MIN_STEPS = 1024
 
-#: Priority-rule kind codes.  ``cyclic`` is ``block-cyclic:1`` — the
-#: two rules share choose offset *and* snapshot once the tick counter
-#: is kept raw (CyclicPriority stores ``ticks % n``, which equals
+#: Priority-rule kind codes, by the kind :func:`~repro.sim.priority.
+#: parse_priority` reads.  ``cyclic`` is ``block-cyclic:1`` — the two
+#: rules share choose offset *and* snapshot once the tick counter is
+#: kept raw (CyclicPriority stores ``ticks % n``, which equals
 #: ``ticks % (1·n)``).
 _FIXED = 0
 _ROT = 1
 _LRU = 2
+_KIND_CODES = {"fixed": _FIXED, "cyclic": _ROT, "block-cyclic": _ROT, "lru": _LRU}
 
 #: Last-grant sentinel for padding ports (lanes with fewer than
 #: ``n_max`` streams).  It must sort *after* every live port's
@@ -86,16 +89,9 @@ _LRU_PAD = 1 << 40
 
 
 def _rule_code(name: str) -> tuple[int, int]:
-    """``(kind, block)`` for a priority-rule name."""
-    if name == "fixed":
-        return _FIXED, 1
-    if name == "cyclic":
-        return _ROT, 1
-    if name == "lru":
-        return _LRU, 1
-    if name.startswith("block-cyclic:"):
-        return _ROT, int(name.split(":", 1)[1])
-    raise ValueError(f"invalid priority spec {name!r}")
+    """``(kind code, block)`` for a priority spec."""
+    kind, block = parse_priority(name)
+    return _KIND_CODES[kind], block
 
 
 def _sect_table(job: "SimJob", cache: SectCache) -> IntArray:

@@ -50,6 +50,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Stopwatch
 from ..runner.executor import SweepExecutor
 from ..runner.job import SimJob
+from ..runner.resilience import RetryPolicy, SweepFailureError
 from .coalesce import Coalescer
 from .lookup import LookupTier
 from .protocol import (
@@ -81,6 +82,13 @@ _REASONS = {
 _ROUTES = ("/v1/beff", "/v1/sweep", "/v1/regime", "/metrics", "/healthz")
 
 _Response = tuple[int, str, bytes, dict[str, str]]
+
+#: The served executor's failure policy: a drain batch that raises is
+#: bisected at once, without backoff, so a job that cannot complete
+#: comes back as its own ``FailedOutcome`` (a 502 ``failed-job``)
+#: instead of failing every request that shared its batch.  Any
+#: exception a batch raises is caught this way, a programming error too.
+_DRAIN_RETRY = RetryPolicy(max_retries=0, backoff_base_ms=0)
 
 
 def _json_body(obj: object) -> bytes:
@@ -516,7 +524,11 @@ async def _amain(
     # Nothing is served until the precompute is done: a drain run_many
     # must not overlap the precompute's on the one executor.
     if precompute is not None:
-        await precompute(service)
+        try:
+            await precompute(service)
+        except BaseException:
+            await service.aclose()
+            raise
     await server.start_serving()
     announce(f"serving on http://{host}:{service.port}")
     await stop.wait()
@@ -542,17 +554,28 @@ def run_server(
     ``precompute_jobs`` runs through the executor in one ``run_many``
     after the listener is bound and before it serves or is announced,
     so a ``--precompute`` launch only accepts connections and reports
-    ready once its memo (and store) hold every precomputed point.
+    ready once its memo (and store) hold every precomputed point; a
+    precompute job that fails raises :class:`SweepFailureError` before
+    anything is served.
+    A job that cannot complete answers 502 ``failed-job`` and fails
+    only its own request, not the others drained with it.
     A listener that cannot bind (address in use, unresolvable host)
     raises ``ValueError`` naming ``host:port``.
     """
-    executor = SweepExecutor(backend=backend, store_path=store_path)
+    executor = SweepExecutor(
+        backend=backend, store_path=store_path, retry=_DRAIN_RETRY
+    )
     service = BandwidthService(executor=executor, max_inflight=max_inflight)
 
     async def _precompute(svc: BandwidthService) -> None:
         assert precompute_jobs is not None
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, svc.executor.run_many, precompute_jobs)
+        outs = await loop.run_in_executor(
+            None, svc.executor.run_many, precompute_jobs
+        )
+        failures = [out for out in outs if out.failed]
+        if failures:
+            raise SweepFailureError(failures)
         announce(f"precomputed {len(svc.executor)} unique results")
 
     asyncio.run(

@@ -38,16 +38,8 @@ from ..memory.sections import SectionMap, section_map_for
 from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..obs import trace as _obs_trace
-from .arbiter import (
-    ArbiterPolicy,
-    PriorityArbiter,
-    RegulatedArbiter,
-    WeightedFairArbiter,
-    canonical_arbiter,
-    validate_regulation,
-)
+from .arbiter import ArbiterPolicy, make_arbiter
 from .port import Port
-from .priority import PriorityRule, make_priority
 from .stats import ConflictKind, SimStats
 from .trace import TraceRecorder
 
@@ -97,9 +89,9 @@ class Engine:
         config: MemoryConfig,
         ports: list[Port],
         *,
-        priority: PriorityRule | str = "fixed",
-        intra_priority: PriorityRule | str | None = None,
-        arbiter: ArbiterPolicy | str | None = None,
+        priority: str = "fixed",
+        intra_priority: str | None = None,
+        arbiter: str | None = None,
         regulate: tuple[str, ...] = (),
         trace: TraceRecorder | bool | None = None,
     ) -> None:
@@ -110,12 +102,12 @@ class Engine:
         port priority within a CPU was fixed by port role while the
         inter-CPU rule rotated).
 
-        ``arbiter`` replaces the two-rule wiring with an
-        :class:`~repro.sim.arbiter.ArbiterPolicy` (instance or spec
-        string such as ``"wfq:2,1"``); ``regulate`` wraps whichever
-        policy results with token-bucket regulators
-        (``"stream=1/3"``-style specs).  The defaults reproduce the
-        pre-policy engine bit-identically.
+        ``arbiter`` replaces the two-rule wiring with an arbiter spec
+        such as ``"wfq:2,1"``; ``regulate`` wraps whichever policy
+        results with token-bucket regulators (``"stream=1/3"``-style
+        specs).  :func:`~repro.sim.arbiter.make_arbiter` builds the
+        policy from these spec strings, as it does for the fast
+        engines.
         """
         if not ports:
             raise ValueError("need at least one port")
@@ -128,41 +120,14 @@ class Engine:
         self.ports = ports
         self.banks = BankArray(config.banks, config.bank_cycle)
         self.section_map: SectionMap = section_map_for(config)
-        if isinstance(priority, str):
-            priority = make_priority(priority, len(ports))
-        self.priority = priority
-        if intra_priority is None:
-            self.intra_priority: PriorityRule = priority
-        elif isinstance(intra_priority, str):
-            self.intra_priority = make_priority(intra_priority, len(ports))
-        else:
-            self.intra_priority = intra_priority
-        if isinstance(arbiter, ArbiterPolicy):
-            if regulate:
-                raise ValueError(
-                    "pass regulate= as part of the policy instance, "
-                    "not alongside one"
-                )
-            self.arbiter: ArbiterPolicy = arbiter
-        else:
-            spec = canonical_arbiter(arbiter, len(ports))
-            base: ArbiterPolicy
-            if spec is None:
-                base = PriorityArbiter(self.priority, self.intra_priority)
-            else:
-                base = WeightedFairArbiter(
-                    [int(w) for w in spec[len("wfq:"):].split(",")]
-                )
-            if regulate:
-                base = RegulatedArbiter(
-                    base,
-                    validate_regulation(
-                        regulate, len(ports), config.banks
-                    ),
-                    len(ports),
-                    config.banks,
-                )
-            self.arbiter = base
+        self.arbiter: ArbiterPolicy = make_arbiter(
+            len(ports),
+            config.banks,
+            priority=priority,
+            intra_priority=intra_priority,
+            arbiter=arbiter,
+            regulate=regulate,
+        )
         if trace is True:
             trace = TraceRecorder()
         elif trace is False:
@@ -432,9 +397,9 @@ def simulate_streams(
     streams: list[AccessStream],
     *,
     cpus: list[int] | None = None,
-    priority: PriorityRule | str = "fixed",
-    intra_priority: PriorityRule | str | None = None,
-    arbiter: ArbiterPolicy | str | None = None,
+    priority: str = "fixed",
+    intra_priority: str | None = None,
+    arbiter: str | None = None,
     regulate: tuple[str, ...] = (),
     cycles: int | None = None,
     steady: bool = False,

@@ -2,10 +2,10 @@
 
 Two complementary checks license Tier A of the execution pipeline:
 
-* a randomized ``(m, n_c, d1, d2, start)`` grid (hypothesis) where every
-  *decided* job must come back bit-identical — bandwidth, period,
-  per-port grants, transient, total cycles — from the solver, the fast
-  backend and the reference engine;
+* randomized one- and two-stream jobs through ``paths.check_run``,
+  where every *decided* job must come back bit-identical (bandwidth,
+  period, per-port grants, transient, total cycles) to the reference
+  engine, as must the ``auto`` backend's answer;
 * an exhaustive small-``m`` sweep asserting the same identity on every
   decided job and that undecided jobs *report* undecided (the strict
   ``analytic`` backend raises instead of guessing).
@@ -15,68 +15,31 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.memory.config import FIG3_CONFIG, MemoryConfig
 from repro.runner import SimJob, run
 from repro.runner.analytic import AnalyticBackend, solve
 
-#: The outcome fields that must agree exactly (``backend`` necessarily
-#: differs; ``result`` is reference-engine-only by design).
-FIELDS = ("bandwidth", "period", "grants", "steady_start", "cycles")
-
-
-def outcome_tuple(out):
-    return tuple(getattr(out, f) for f in FIELDS)
-
-
-@st.composite
-def grid_jobs(draw):
-    m = draw(st.integers(2, 20))
-    n_c = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 2))
-    streams = tuple(
-        (draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)))
-        for _ in range(n)
-    )
-    cpus = tuple(draw(st.integers(0, 1)) for _ in range(n))
-    sections = draw(
-        st.sampled_from([None] + [s for s in range(1, m + 1) if m % s == 0])
-    )
-    priority = draw(
-        st.sampled_from(["fixed", "cyclic", "lru", "block-cyclic:2"])
-    )
-    intra = draw(st.sampled_from([None, "fixed"]))
-    return SimJob(
-        banks=m,
-        bank_cycle=n_c,
-        streams=streams,
-        cpus=cpus,
-        sections=sections,
-        priority=priority,
-        intra_priority=intra,
-    )
+from .paths import answer, check_run, jobs
 
 
 class TestRandomizedGrid:
-    @given(job=grid_jobs())
-    @settings(max_examples=150, deadline=None)
+    @given(
+        job=jobs(
+            streams=(1, 2),
+            intras=(None, "fixed"),
+            policies=False,
+            modes=("steady",),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
     def test_decided_jobs_bit_identical_to_both_backends(self, job):
-        analytic = solve(job)
-        if analytic is None:
-            return  # undecided: nothing claimed, nothing to check
-        assert analytic.backend == "analytic"
-        fast = run(job, backend="fast")
-        ref = run(job, backend="reference")
-        assert outcome_tuple(analytic) == outcome_tuple(fast)
-        assert outcome_tuple(analytic) == outcome_tuple(ref)
+        check_run(job)
 
-    @given(job=grid_jobs())
-    @settings(max_examples=60, deadline=None)
+    @given(job=jobs(streams=(1, 2)))
+    @settings(max_examples=40, deadline=None)
     def test_auto_backend_identical_to_reference(self, job):
-        auto = run(job, backend="auto")
-        ref = run(job, backend="reference")
-        assert outcome_tuple(auto) == outcome_tuple(ref)
+        check_run(job)
 
 
 def exhaustive_single_jobs():
@@ -112,7 +75,7 @@ class TestExhaustiveSmallM:
                 assert job.priority.startswith("block-cyclic")
                 continue
             decided += 1
-            assert outcome_tuple(out) == outcome_tuple(run(job, backend="fast"))
+            assert answer(out) == answer(run(job, backend="fast"))
         assert decided and decided < total
 
     def test_pairs_never_wrong(self):
@@ -123,7 +86,7 @@ class TestExhaustiveSmallM:
             if out is None:
                 continue
             decided += 1
-            assert outcome_tuple(out) == outcome_tuple(run(job, backend="fast"))
+            assert answer(out) == answer(run(job, backend="fast"))
         assert decided and decided < total
 
     def test_decided_pairs_match_reference_engine(self):
@@ -134,9 +97,7 @@ class TestExhaustiveSmallM:
         for job in exhaustive_pair_jobs():
             if solve(job) is None:
                 continue
-            assert outcome_tuple(solve(job)) == outcome_tuple(
-                run(job, backend="reference")
-            )
+            assert answer(solve(job)) == answer(run(job, backend="reference"))
             checked += 1
         assert checked
 

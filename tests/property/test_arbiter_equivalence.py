@@ -1,174 +1,65 @@
 """Arbiter policies give bit-identical outcomes on every backend.
 
-The policy refactor replaces the engine's two-rule grant loop; these
-properties license it.  Randomized jobs with the full policy surface —
-every priority rule, wfq ranking, per-stream and per-bank token-bucket
-regulation — must produce exactly the same steady outcome on the
-reference engine, the scalar fast core (Brent detection, so policy
-snapshot/restore sits inside the steady-cycle loop) and the batch
-backend's policy partition.  The analytic tier must stay never-wrong:
-a decided outcome for a regulated job is bit-identical to simulation,
-and non-vacuous policies are always honestly undecided.
+The policy refactor replaced the engine's two-rule grant loop; these
+properties license it.  Jobs with the full policy surface (every
+priority rule, wfq ranking, per-stream and per-bank token-bucket
+regulation) must answer exactly as the reference engine does on the
+scalar fast core (Brent detection, with the policy's snapshot in every
+compared state), the batch backend's policy partition and the canonical
+job.  The analytic tier must stay never-wrong: a decided outcome for a
+regulated job is bit-identical to simulation, and non-vacuous policies
+are always honestly undecided (``paths.check_run``).
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.runner import SimJob, run
-from repro.runner.analytic import solve
-from repro.runner.backends import get_backend
-from repro.sim.arbiter import regulation_is_vacuous
+from .paths import check_batch, check_run, jobs
 
-
-@st.composite
-def regulations(draw, n, m):
-    """A valid regulation tuple for ``n`` streams on ``m`` banks."""
-    specs: list[str] = []
-    budget = st.tuples(st.integers(1, 4), st.integers(1, 6))
-    stream_mode = draw(st.sampled_from(["none", "uniform", "indexed"]))
-    if stream_mode == "uniform":
-        rate, window = draw(budget)
-        specs.append(f"stream={rate}/{window}")
-    elif stream_mode == "indexed":
-        for idx in sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))):
-            rate, window = draw(budget)
-            specs.append(f"stream:{idx}={rate}/{window}")
-    bank_mode = draw(st.sampled_from(["none", "uniform", "indexed"]))
-    if bank_mode == "uniform":
-        rate, window = draw(budget)
-        specs.append(f"bank={rate}/{window}")
-    elif bank_mode == "indexed":
-        for idx in sorted(
-            draw(st.sets(st.integers(0, m - 1), max_size=3))
-        ):
-            rate, window = draw(budget)
-            specs.append(f"bank:{idx}={rate}/{window}")
-    return tuple(specs)
-
-
-@st.composite
-def policy_jobs(draw):
-    m = draw(st.integers(2, 12))
-    n_c = draw(st.integers(1, 4))
-    sections = draw(
-        st.sampled_from([None] + [s for s in range(1, m + 1) if m % s == 0])
-    )
-    mapping = (
-        draw(st.sampled_from(["cyclic", "consecutive"]))
-        if sections is not None
-        else "cyclic"
-    )
-    n = draw(st.integers(1, 3))
-    streams = tuple(
-        (draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)))
-        for _ in range(n)
-    )
-    cpus = tuple(draw(st.integers(0, 1)) for _ in range(n))
-    priority = draw(
-        st.sampled_from(["fixed", "cyclic", "lru", "block-cyclic:2"])
-    )
-    intra = draw(st.sampled_from([None, "fixed", "cyclic", "lru"]))
-    if draw(st.booleans()):
-        arbiter = "wfq:" + ",".join(
-            str(draw(st.integers(1, 4))) for _ in range(n)
-        )
-    else:
-        arbiter = None
-    regulate = draw(regulations(n, m))
-    return SimJob(
-        banks=m,
-        bank_cycle=n_c,
-        streams=streams,
-        cpus=cpus,
-        sections=sections,
-        section_mapping=mapping,
-        priority=priority,
-        intra_priority=intra,
-        arbiter=arbiter,
-        regulate=regulate,
-    )
-
-
-def _assert_same(a, b):
-    assert b.bandwidth == a.bandwidth
-    assert b.period == a.period
-    assert b.grants == a.grants
-    assert b.steady_start == a.steady_start
+#: The full policy surface on small memories and up to three streams.
+POLICY = {"banks": (2, 12), "streams": (1, 3), "policies": True}
 
 
 class TestPolicyBackendEquivalence:
-    @given(job=policy_jobs())
-    @settings(max_examples=100, deadline=None)
-    def test_reference_fast_batch_bit_identical(self, job):
-        ref = run(job, backend="reference")
-        fast = run(job, backend="fast")
-        _assert_same(ref, fast)
-        (batch,) = get_backend("batch").run_batch([job])
-        _assert_same(ref, batch)
-        assert batch.backend == "batch"
-
-    @given(job=policy_jobs(), horizon=st.integers(1, 80))
+    @given(job=jobs(**POLICY, modes=("steady",)))
     @settings(max_examples=50, deadline=None)
-    def test_fixed_horizon_grants_identical(self, job, horizon):
-        from dataclasses import replace
+    def test_reference_fast_batch_bit_identical(self, job):
+        check_run(job)
+        check_batch([job])
 
-        job = replace(job, steady=False, cycles=horizon)
-        ref = run(job, backend="reference")
-        fast = run(job, backend="fast")
-        assert fast.grants == ref.grants
-        assert fast.bandwidth == ref.bandwidth
+    @given(job=jobs(**POLICY, modes=("span",)))
+    @settings(max_examples=30, deadline=None)
+    def test_fixed_horizon_grants_identical(self, job):
+        check_run(job)
 
-    @given(job=policy_jobs())
-    @settings(max_examples=60, deadline=None)
+    @given(job=jobs(**POLICY))
+    @settings(max_examples=30, deadline=None)
     def test_canonical_policy_job_has_identical_outcome(self, job):
-        original = run(job)
-        canonical = run(job.canonical())
-        _assert_same(original, canonical)
+        check_run(job)
 
 
 class TestLRUInsideSteadyDetection:
-    """LRU's snapshot/restore runs inside Brent's steady-cycle loop;
-    the restore bugfix is what makes the fast path agree with the
-    reference engine on every start (the pre-fix restore inverted
-    grant order when the detector restored early in a run)."""
+    """LRU rules hold a last-grant ranking in every state the steady
+    detector compares; split or shared, regulated or not, the fast path
+    must agree with the reference engine on every start."""
 
     @given(
-        m=st.integers(2, 10),
-        n_c=st.integers(1, 4),
-        d1=st.integers(0, 9),
-        d2=st.integers(0, 9),
-        off=st.integers(0, 9),
-        regulated=st.booleans(),
+        job=jobs(
+            banks=(2, 10),
+            streams=(2, 2),
+            priorities=("lru",),
+            intras=("lru",),
+            modes=("steady",),
+        ).filter(lambda job: job.arbiter is None)
     )
     @settings(max_examples=80, deadline=None)
-    def test_lru_jobs_agree_across_backends(
-        self, m, n_c, d1, d2, off, regulated
-    ):
-        job = SimJob(
-            banks=m,
-            bank_cycle=n_c,
-            streams=((0, d1 % m), (off % m, d2 % m)),
-            cpus=(0, 1),
-            priority="lru",
-            intra_priority="lru",
-            regulate=("stream=1/2",) if regulated else (),
-        )
-        ref = run(job, backend="reference")
-        fast = run(job, backend="fast")
-        _assert_same(ref, fast)
+    def test_lru_jobs_agree_across_backends(self, job):
+        check_run(job)
 
 
 class TestAnalyticNeverWrongUnderPolicy:
-    @given(job=policy_jobs())
-    @settings(max_examples=100, deadline=None)
+    @given(job=jobs(**POLICY))
+    @settings(max_examples=50, deadline=None)
     def test_decided_regulated_outcomes_match_simulation(self, job):
-        out = solve(job)
-        if out is None:
-            return  # honestly undecided — always allowed
-        # wfq free-runs its slot and non-vacuous buckets veto: neither
-        # may ever be decided.
-        assert job.arbiter is None
-        assert not job.regulate or regulation_is_vacuous(job.regulate)
-        _assert_same(run(job, backend="fast"), out)
+        check_run(job)

@@ -1,190 +1,34 @@
-"""The batch SoA core is a bit-exact replacement for the fast engine.
+"""The batch SoA core is a bit-exact replacement for the scalar engines.
 
-Randomized *populations* — mixes of the paper's regimes (conflict-free
-pairs, barrier pairs, linked-conflict strides, multi-section multi-port
-jobs) — run through ``BatchBackend.run_batch`` in one lockstep call and
-through the scalar fast backend one job at a time; every component of
-every per-job ``SimOutcome`` must match exactly, and a population whose
-jobs exhaust ``max_cycles`` must raise the very same ``RuntimeError``
-the scalar engine raises.  This is the cross-check that licenses
-routing sweeps through the lockstep core.
+Randomized *populations* of every job shape run through
+``BatchBackend.run_batch`` in one lockstep call; every per-job answer
+must equal the reference engine's, and a population holding jobs that
+exhaust ``max_cycles`` must raise the lowest-indexed failing job's
+exact ``RuntimeError`` (``paths.check_batch``).  This is the
+cross-check that licenses routing sweeps through the lockstep core.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.runner import SimJob, get_backend
-
-
-@st.composite
-def conflict_free_jobs(draw):
-    """Fig. 2 shape: strides sharing a factor with m, disjoint starts."""
-    m = draw(st.sampled_from([4, 8, 12, 16]))
-    d = draw(st.sampled_from([x for x in (2, 4) if x < m]))
-    b2 = draw(st.integers(1, d - 1)) if d > 1 else 0
-    return SimJob(
-        banks=m,
-        bank_cycle=draw(st.integers(1, 4)),
-        streams=((0, d), (b2 % m, d)),
-        cpus=(0, 1),
-        priority=draw(st.sampled_from(["fixed", "cyclic"])),
-    )
-
-
-@st.composite
-def barrier_jobs(draw):
-    """Fig. 3 shape: equal strides, same start bank — the barrier."""
-    m = draw(st.sampled_from([4, 8, 13, 16]))
-    d = draw(st.integers(1, m - 1))
-    return SimJob(
-        banks=m,
-        bank_cycle=draw(st.integers(2, 4)),
-        streams=((0, d), (0, d)),
-        cpus=(0, 1),
-        priority=draw(st.sampled_from(["fixed", "cyclic", "lru"])),
-    )
-
-
-@st.composite
-def linked_conflict_jobs(draw):
-    """Fig. 8 shape: distinct strides whose difference shares a factor
-    with m, so the streams keep re-colliding."""
-    m = draw(st.sampled_from([8, 16]))
-    d1 = draw(st.integers(1, m - 1))
-    d2 = draw(st.integers(1, m - 1))
-    return SimJob(
-        banks=m,
-        bank_cycle=draw(st.integers(1, 4)),
-        streams=((0, d1), (draw(st.integers(0, m - 1)), d2)),
-        cpus=(draw(st.integers(0, 1)), draw(st.integers(0, 1))),
-        priority=draw(
-            st.sampled_from(["fixed", "cyclic", "lru", "block-cyclic:2"])
-        ),
-        intra_priority=draw(st.sampled_from([None, "fixed", "cyclic"])),
-    )
-
-
-@st.composite
-def multi_section_jobs(draw):
-    """Fig. 7/9 shape: sectioned memory, several ports, mixed CPUs."""
-    m = draw(st.sampled_from([8, 12, 16]))
-    sections = draw(
-        st.sampled_from([s for s in (2, 4) if m % s == 0])
-    )
-    n = draw(st.integers(2, 4))
-    return SimJob(
-        banks=m,
-        bank_cycle=draw(st.integers(1, 4)),
-        streams=tuple(
-            (draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)))
-            for _ in range(n)
-        ),
-        cpus=tuple(draw(st.integers(0, 1)) for _ in range(n)),
-        sections=sections,
-        section_mapping=draw(st.sampled_from(["cyclic", "consecutive"])),
-        priority=draw(st.sampled_from(["fixed", "cyclic", "lru"])),
-        intra_priority=draw(st.sampled_from([None, "fixed", "lru"])),
-    )
-
-
-def mixed_populations(min_size=2, max_size=24):
-    return st.lists(
-        st.one_of(
-            conflict_free_jobs(),
-            barrier_jobs(),
-            linked_conflict_jobs(),
-            multi_section_jobs(),
-        ),
-        min_size=min_size,
-        max_size=max_size,
-    )
-
-
-def _components(out):
-    return (
-        out.bandwidth,
-        out.period,
-        out.grants,
-        out.steady_start,
-        out.cycles,
-    )
+from .paths import check_batch, populations
 
 
 class TestBatchEquivalence:
-    @given(jobs=mixed_populations())
-    @settings(max_examples=40, deadline=None)
+    @given(jobs=populations(max_size=10, modes=("steady",)))
+    @settings(max_examples=12, deadline=None)
     def test_steady_populations_bit_identical(self, jobs):
-        fast = get_backend("fast")
-        batch = get_backend("batch")
-        batched = batch.run_batch(jobs)
-        for job, out in zip(jobs, batched):
-            assert out.backend == "batch"
-            assert _components(out) == _components(fast.run(job))
+        check_batch(jobs)
 
-    @given(
-        jobs=mixed_populations(max_size=12),
-        horizons=st.lists(st.integers(1, 100), min_size=12, max_size=12),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_span_populations_bit_identical(self, jobs, horizons):
-        fast = get_backend("fast")
-        batch = get_backend("batch")
-        jobs = [
-            SimJob(
-                banks=j.banks,
-                bank_cycle=j.bank_cycle,
-                streams=j.streams,
-                cpus=j.cpus,
-                sections=j.sections,
-                section_mapping=j.section_mapping,
-                priority=j.priority,
-                intra_priority=j.intra_priority,
-                steady=False,
-                cycles=h,
-            )
-            for j, h in zip(jobs, horizons)
-        ]
-        batched = batch.run_batch(jobs)
-        for job, out in zip(jobs, batched):
-            assert _components(out) == _components(fast.run(job))
+    @given(jobs=populations(modes=("span",)))
+    @settings(max_examples=15, deadline=None)
+    def test_span_populations_bit_identical(self, jobs):
+        check_batch(jobs)
 
-    @given(jobs=mixed_populations(), bound=st.integers(1, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_max_cycles_error_identical(self, jobs, bound):
-        """A bound too small for any cycle must raise the scalar
-        engine's exact RuntimeError — same type, same message, and the
-        error of the lowest-indexed failing job when several fail."""
-        fast = get_backend("fast")
-        batch = get_backend("batch")
-        jobs = [
-            SimJob(
-                banks=j.banks,
-                bank_cycle=j.bank_cycle,
-                streams=j.streams,
-                cpus=j.cpus,
-                sections=j.sections,
-                section_mapping=j.section_mapping,
-                priority=j.priority,
-                intra_priority=j.intra_priority,
-                max_cycles=bound,
-            )
-            for j in jobs
-        ]
-        fast_err = None
-        for job in jobs:
-            try:
-                fast.run(job)
-            except RuntimeError as exc:
-                fast_err = exc
-                break
-        if fast_err is None:
-            assert [_components(o) for o in batch.run_batch(jobs)] == [
-                _components(fast.run(j)) for j in jobs
-            ]
-        else:
-            with pytest.raises(RuntimeError) as caught:
-                batch.run_batch(jobs)
-            assert str(caught.value) == str(fast_err)
+    @given(jobs=populations())
+    @settings(max_examples=15, deadline=None)
+    def test_max_cycles_error_identical(self, jobs):
+        """Steady, span and bounded jobs mixed: the lowest-indexed
+        failing job's error, same type and message."""
+        check_batch(jobs)

@@ -1,8 +1,8 @@
 """The scheduler split: chunk planning, work stealing, placement.
 
 Companion to docs/RUNNER.md "Scheduling".  Scheduler *equivalence*
-(bit-identical outcomes across inline and pool placements) lives in
-tests/property/test_scheduler_equivalence.py.
+(bit-identical outcomes across inline and pool placements) is the path
+harness's ``check_executor`` (tests/property/paths.py).
 """
 
 from __future__ import annotations

@@ -9,15 +9,24 @@ from repro.obs import names as _names
 from repro.obs.metrics import MetricsRegistry, capture_metrics
 from repro.runner.executor import SweepExecutor
 from repro.runner.job import SimJob
-from repro.runner.resilience import RetryPolicy
-from repro.serve.app import BandwidthService
+from repro.runner.resilience import RetryPolicy, SweepFailureError
+from repro.serve.app import BandwidthService, run_server
 from repro.serve.protocol import job_from_payload
+
+from ..property.paths import served
 
 #: Analytically undecided pair: forces the simulation drain path.
 UNDECIDED = {"banks": 8, "bank_cycle": 4, "streams": [[0, 4], [0, 4]]}
 #: Theorem 1 point with a non-trivial exact value: m=8, n_c=4, d=4
 #: -> r = 2 < n_c, b_eff = r/n_c = 1/2.
 ANALYTIC = {"banks": 8, "bank_cycle": 4, "streams": [[0, 4]]}
+#: A cyclic pair no closed form decides: exactly 4/3 over 120 clocks.
+CYCLIC_PAIR = {
+    "banks": 40, "bank_cycle": 3, "streams": [[0, 1], [0, 3]],
+    "cpus": [0, 1], "priority": "cyclic",
+}
+#: The same shape on 41 banks, bounded far below its cycle.
+UNFINISHABLE = {**CYCLIC_PAIR, "banks": 41, "max_cycles": 3}
 
 
 def _dispatch(service, method, target, body=b""):
@@ -121,6 +130,46 @@ class TestBeff:
         status, _, body, _ = _post(service, "/v1/beff", UNDECIDED)
         assert status == 502
         assert json.loads(body)["error"]["mode"] == "failed-job"
+
+
+class TestServedFailureIsolation:
+    """The service ``run_server`` builds: a job that cannot finish fails
+    only its own request, not the others drained in its batch."""
+
+    def test_concurrent_requests_answer_200_and_502(self):
+        service = served()
+
+        async def both():
+            return await asyncio.gather(*(
+                service.dispatch("POST", "/v1/beff", json.dumps(job).encode())
+                for job in (CYCLIC_PAIR, UNFINISHABLE)
+            ))
+
+        (ok, _, ok_body, _), (bad, _, bad_body, _) = asyncio.run(both())
+        assert ok == 200
+        data = json.loads(ok_body)
+        assert (data["bandwidth"], data["period"]) == ("4/3", 120)
+        assert bad == 502
+        assert json.loads(bad_body)["error"]["mode"] == "failed-job"
+
+    def test_sweep_counts_the_failed_entry(self):
+        jobs = [CYCLIC_PAIR, UNFINISHABLE]
+        status, _, body, _ = _post(served(), "/v1/sweep", {"jobs": jobs})
+        assert status == 200
+        data = json.loads(body)
+        assert data["failures"] == 1
+        assert data["results"][0]["bandwidth"] == "4/3"
+        assert data["results"][1]["tier"] == "failed"
+
+    def test_failed_precompute_raises_before_serving(self):
+        announced = []
+        with pytest.raises(SweepFailureError, match="within 3 cycles"):
+            run_server(
+                port=0,
+                precompute_jobs=[job_from_payload(UNFINISHABLE)],
+                announce=announced.append,
+            )
+        assert announced == []
 
 
 def _failing_executor():

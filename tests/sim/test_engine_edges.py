@@ -10,7 +10,6 @@ from repro.core.stream import AccessStream
 from repro.memory.config import MemoryConfig
 from repro.sim.engine import Engine, simulate_streams
 from repro.sim.port import Port
-from repro.sim.priority import LRUPriority
 
 
 def build(config, cpu_of, streams, **kw):
@@ -62,7 +61,7 @@ class TestLruEndToEnd:
         cfg = MemoryConfig(banks=4, bank_cycle=1)
         eng = build(
             cfg, [0, 1], [AccessStream(0, 0), AccessStream(0, 0)],
-            priority=LRUPriority(2),
+            priority="lru",
         )
         eng.run(20)
         g = eng.stats.per_port_grants()
@@ -72,7 +71,7 @@ class TestLruEndToEnd:
         cfg = MemoryConfig(banks=4, bank_cycle=1)
         eng = build(
             cfg, [0, 1], [AccessStream(0, 0), AccessStream(0, 0)],
-            priority=LRUPriority(2),
+            priority="lru",
         )
         bw, period, grants, start = eng.run_to_steady_state()
         assert bw == 1  # the bank serves one grant per clock
@@ -132,7 +131,7 @@ class TestSplitPriorityRules:
     def test_default_single_rule_serves_both(self):
         cfg = MemoryConfig(banks=8, bank_cycle=2)
         eng = build(cfg, [0], [AccessStream(0, 1)], priority="cyclic")
-        assert eng.intra_priority is eng.priority
+        assert eng.arbiter.intra is eng.arbiter.priority
 
     def test_xmp_style_combo(self):
         """Fixed intra-CPU (port role) + rotating inter-CPU priority:

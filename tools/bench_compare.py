@@ -7,7 +7,8 @@ speedup floor is missed:
 **Backend throughput** (default) — runs the three
 ``benchmarks/bench_engine_throughput.py`` workload shapes (one port,
 two CPUs, six ports on a sectioned memory) on the reference and fast
-backends and reports simulated clocks per second::
+backends, their repetitions interleaved, and reports each backend's
+best simulated clocks per second::
 
     PYTHONPATH=src python tools/bench_compare.py [--clocks N] [--repeat K]
 
@@ -67,16 +68,21 @@ def _job(n_ports: int, sectioned: bool, clocks: int) -> SimJob:
     )
 
 
-def _clocks_per_second(backend_name: str, job: SimJob, repeat: int) -> float:
-    backend = get_backend(backend_name)
-    backend.run(job)  # warm-up
-    best = float("inf")
+def _clocks_per_second(job: SimJob, repeat: int) -> dict[str, float]:
+    """Best-of-``repeat`` simulated clocks per second on the reference
+    and fast backends.  Their repetitions alternate, so load that drifts
+    during the run slows both alike instead of moving the ratio."""
+    backends = {name: get_backend(name) for name in ("reference", "fast")}
+    best = dict.fromkeys(backends, float("inf"))
+    for backend in backends.values():
+        backend.run(job)  # warm-up
     for _ in range(repeat):
-        start = time.perf_counter()
-        out = backend.run(job)
-        best = min(best, time.perf_counter() - start)
-        assert out.cycles == job.cycles
-    return job.cycles / best
+        for name, backend in backends.items():
+            start = time.perf_counter()
+            out = backend.run(job)
+            best[name] = min(best[name], time.perf_counter() - start)
+            assert out.cycles == job.cycles
+    return {name: job.cycles / seconds for name, seconds in best.items()}
 
 
 #: The tier-sensitive sweep benchmarks whose wall-clock the committed
@@ -222,8 +228,8 @@ def main(argv: list[str] | None = None) -> int:
         ok = True
         for name, n_ports, sectioned in WORKLOADS:
             job = _job(n_ports, sectioned, args.clocks)
-            ref = _clocks_per_second("reference", job, args.repeat)
-            fast = _clocks_per_second("fast", job, args.repeat)
+            rates = _clocks_per_second(job, args.repeat)
+            ref, fast = rates["reference"], rates["fast"]
             speedup = fast / ref
             ok = ok and speedup >= args.min_speedup
             report["workloads"][name] = {

@@ -16,6 +16,10 @@ real subprocess on a free port, then checks the contract end to end:
   answers Fig. 8(a)'s linked conflict under ``fixed`` priority
   (``3/2``, period 16) and Fig. 8(b)'s ``2/1`` (period 12) under
   ``cyclic`` priority, simulated once and then from ``memo``;
+* a ``/v1/sweep`` of a simulated cyclic pair (40 banks, exactly 4/3
+  over 120 clocks) and a pair bounded below its cycle (``max_cycles``
+  3) answers ``200`` with the exact value and ``failures == 1``: a job
+  that cannot complete fails only its own entry;
 * malformed bodies come back ``400`` (never ``500``);
 * ``GET /metrics`` exposes a populated per-endpoint latency histogram
   under the documented ``serve.*`` names;
@@ -65,6 +69,14 @@ FIG8_PAIR = {
     "streams": [[0, 1], [1, 1]], "cpus": [0, 0],
 }
 FIG8_EXPECTED = {"fixed": ("3/2", 16), "cyclic": ("2/1", 12)}
+#: A simulated cyclic pair (exactly 4/3 over 120 clocks) and the same
+#: shape on 41 banks bounded below its cycle, which cannot complete.
+MIXED_SWEEP = {"jobs": [
+    {"banks": 40, "bank_cycle": 3, "streams": [[0, 1], [0, 3]],
+     "cpus": [0, 1], "priority": "cyclic"},
+    {"banks": 41, "bank_cycle": 3, "streams": [[0, 1], [0, 3]],
+     "cpus": [0, 1], "priority": "cyclic", "max_cycles": 3},
+]}
 
 
 def _post(base: str, path: str, obj: object) -> tuple[int, dict]:
@@ -184,6 +196,14 @@ def _smoke(args: argparse.Namespace, store: str) -> int:
         assert (again["bandwidth"], again["tier"]) == ("2/1", "memo"), again
         artifact["beff_fig8_cyclic_repeat"] = again
         beff_posts = 7  # the POST /v1/beff requests above
+
+        status, mixed = _post(base, "/v1/sweep", MIXED_SWEEP)
+        assert status == 200, (status, mixed)
+        assert mixed["failures"] == 1, mixed
+        valid, failed = mixed["results"]
+        assert (valid["bandwidth"], valid["period"]) == ("4/3", 120), valid
+        assert failed["tier"] == "failed", failed
+        artifact["sweep_with_failed_job"] = mixed
 
         status, bad = _post(base, "/v1/sweep", {"jobs": "nope"})
         assert status == 400, (status, bad)
