@@ -523,9 +523,10 @@ class RunnerLayerRule(Rule):
 
     #: Call origins that bypass the runner layer (matched by suffix so
     #: relative imports resolve identically).  The fastsim core joins
-    #: the historical engine primitives: calling ``FlatSim`` or the
-    #: steady-cycle detector directly skips backend checking and the
-    #: executor's cache, exactly like constructing an ``Engine``.  The
+    #: the historical engine primitives: calling ``FlatSim``, a
+    #: steady-cycle detector or the pair span directly skips backend
+    #: checking and the executor's cache, exactly like constructing an
+    #: ``Engine``.  The
     #: batch core's entry points bypass the same way — and additionally
     #: skip the error/fallback bookkeeping only ``BatchBackend`` does.
     TARGET_SUFFIXES = (
@@ -534,6 +535,8 @@ class RunnerLayerRule(Rule):
         "sim.port.Port",
         "runner.fastsim.FlatSim",
         "runner.fastsim.find_steady_cycle",
+        "runner.fastsim.find_pair_cycle",
+        "runner.fastsim.run_pair_span",
         "runner.batchsim.BatchSim",
         "runner.batchsim.run_steady_batch",
         "runner.batchsim.run_span_batch",

@@ -126,9 +126,10 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     MetricSpec(
         AUTO_DISPATCH, "counter", ("tier",),
         "repro.runner.analytic.AutoBackend",
-        "Jobs the auto backend sent to each tier "
-        "(analytic closed form vs. batch lockstep vs. fastsim "
-        "fallback).",
+        "Jobs the auto backend sent to each tier: analytic closed "
+        "form, fastsim (every undecided fused pair, and clocked jobs "
+        "in populations under 96) or batch lockstep (96 or more "
+        "undecided clocked jobs).",
     ),
     MetricSpec(
         BATCH_FALLBACK, "counter", ("reason",),
@@ -248,14 +249,14 @@ METRIC_CONTRACT: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         FASTSIM_STEADY_LAM, "histogram", (),
-        "repro.runner.fastsim.find_steady_cycle / "
+        "repro.runner.fastsim.find_steady_cycle / find_pair_cycle / "
         "repro.runner.backends.BatchBackend",
         "Minimal steady-period lengths (Brent lambda) found by the "
         "cycle detector (scalar and batch lanes alike).",
     ),
     MetricSpec(
         FASTSIM_STEADY_MU, "histogram", (),
-        "repro.runner.fastsim.find_steady_cycle / "
+        "repro.runner.fastsim.find_steady_cycle / find_pair_cycle / "
         "repro.runner.backends.BatchBackend",
         "Transient lengths (Brent mu) found by the cycle detector "
         "(scalar and batch lanes alike).",

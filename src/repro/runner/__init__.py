@@ -15,10 +15,11 @@ Every simulation in the repository flows through three layers:
     the ``batch`` structure-of-arrays engine (whole populations stepped
     in NumPy lockstep, bit-identical to ``fast``), the strict
     ``analytic`` closed-form solver (Tier A: theorem-decided jobs
-    only), and ``auto`` — closed form when the theory decides, the
-    batch core for large undecided populations, fast simulation
-    otherwise.  Select per call or via the ``REPRO_SIM_BACKEND``
-    environment variable.
+    only), and ``auto`` — closed form when the theory decides, fast
+    simulation for undecided fused pairs and small rests, the batch
+    core for large populations of jobs that step clock by clock.
+    Select per call or via the ``REPRO_SIM_BACKEND`` environment
+    variable.
 ``executor``
     :class:`SweepExecutor` — deduplicates isomorphic jobs, memoizes
     outcomes in an LRU in-process cache in front of an optional

@@ -45,6 +45,10 @@ priority rules with constant snapshots (any rule is constant for one
 port except ``block-cyclic``; two-port jobs require ``fixed``) and
 section topologies where path conflicts coincide with bank conflicts
 (distinct CPUs, or one section per bank).
+
+:class:`AutoBackend` puts the solver in front of simulation: undecided
+fused pairs run on the fast engine, and only large populations of
+undecided jobs that step clock by clock reach the NumPy batch kernel.
 """
 
 from __future__ import annotations
@@ -57,15 +61,19 @@ from ..core.arithmetic import lcm
 from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..obs import trace as _trace
+from .fastsim import pair_rotation
 from .job import SimJob, SimOutcome
 
 __all__ = ["solve", "AnalyticBackend", "AutoBackend"]
 
-#: Smallest analytic-undecided population for which the ``auto`` tier
-#: routes to the batch core: below this the SoA setup cost outweighs
-#: the vectorized stepping (measured on the census shapes).  It lives
-#: here, not in the NumPy-backed :mod:`repro.runner.batchsim` (which
-#: re-exports it), so deciding the tier imports no NumPy.
+#: Smallest population of analytic-undecided jobs that step clock by
+#: clock (no fused pair: see :func:`~repro.runner.fastsim.pair_rotation`)
+#: for which the ``auto`` tier routes them to the batch core: below
+#: this the SoA setup cost outweighs the vectorized stepping.  Fused
+#: pairs never go there; the one-frame pair detector is as fast as the
+#: kernel on every census shape.  It lives here, not in the NumPy-backed
+#: :mod:`repro.runner.batchsim` (which re-exports it), so deciding the
+#: tier imports no NumPy.
 BATCH_MIN_POPULATION = 96
 
 
@@ -243,9 +251,9 @@ class AnalyticBackend:
 
 
 class AutoBackend:
-    """Tier dispatch: closed form when the theory decides, then the
-    lockstep batch core for large undecided populations, scalar fast
-    simulation for the rest."""
+    """Tier dispatch: closed form when the theory decides, then fast
+    simulation for undecided fused pairs and for small populations of
+    the rest, and the lockstep batch core for large ones."""
 
     name = "auto"
     #: Large chunks keep the batch tier's lockstep populations wide.
@@ -265,23 +273,33 @@ class AutoBackend:
         return get_backend("fast").run(job)
 
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimOutcome]:
-        """Solve what the theory decides; the undecided rest goes to the
-        lockstep batch core when the population is large enough to
-        amortise its array setup, to scalar fast simulation otherwise.
-        Trace jobs always run scalar (the batch core keeps no trace)."""
+        """Solve what the theory decides.  Undecided fused pairs run on
+        the fast engine, which is as fast as the batch core on them.
+        The undecided rest steps clock by clock: it goes to the lockstep
+        batch core when it is large enough to amortise the array setup
+        (and holds no trace job, which only scalar engines keep), to the
+        fast engine otherwise.  A failure raises the lowest-indexed
+        failing job's error, as one sequential fast run would."""
         from .backends import get_backend
 
         with _trace.span(_names.SPAN_AUTO_RUN_BATCH, jobs=len(jobs)):
             out: list[SimOutcome | None] = []
-            rest: list[int] = []
+            fused: list[int] = []
+            clocked: list[int] = []
             for i, job in enumerate(jobs):
                 o = solve(job)
                 out.append(o)
                 if o is None:
-                    rest.append(i)
+                    (clocked if pair_rotation(job) is None else fused).append(i)
+            rest = sorted(fused + clocked)
             batched = (
-                len(rest) >= BATCH_MIN_POPULATION
-                and not any(jobs[i].trace for i in rest)
+                len(clocked) >= BATCH_MIN_POPULATION
+                and not any(jobs[i].trace for i in clocked)
+            )
+            tiers = (
+                {"fastsim": fused, "batch": clocked}
+                if batched
+                else {"fastsim": rest}
             )
             reg = _metrics.active_metrics()
             if reg is not None:
@@ -290,15 +308,23 @@ class AutoBackend:
                     reg.counter(
                         _names.AUTO_DISPATCH, tier="analytic"
                     ).inc(decided)
-                if rest:
-                    tier = "batch" if batched else "fastsim"
-                    reg.counter(
-                        _names.AUTO_DISPATCH, tier=tier
-                    ).inc(len(rest))
-            if rest:
-                sim = get_backend("batch" if batched else "fast")
-                ran = sim.run_batch([jobs[i] for i in rest])
-                for i, o in zip(rest, ran):
-                    out[i] = o
+                for tier, idx in tiers.items():
+                    if idx:
+                        reg.counter(_names.AUTO_DISPATCH, tier=tier).inc(
+                            len(idx)
+                        )
+            try:
+                for tier, idx in tiers.items():
+                    if idx:
+                        sim = get_backend("batch" if tier == "batch" else "fast")
+                        ran = sim.run_batch([jobs[i] for i in idx])
+                        for i, o in zip(idx, ran):
+                            out[i] = o
+            except RuntimeError:
+                if batched and fused:
+                    # The two groups ran apart: one sequential run in
+                    # job order raises the lowest-indexed job's error.
+                    get_backend("fast").run_batch([jobs[i] for i in rest])
+                raise
             assert all(o is not None for o in out)
             return [o for o in out if o is not None]

@@ -7,11 +7,13 @@
 ``fast``
     The flat-array core of :mod:`repro.runner.fastsim` — the same
     two-stage arbitration over plain integer lists, with Brent's
-    cycle detection instead of a visited-state dictionary.  It produces
-    bit-identical steady-state results (exact ``Fraction`` bandwidth,
-    period, per-port grants, transient length) at a multiple of the
-    reference throughput, and is cross-checked against the reference by
-    the path harness ``tests/property/paths.py`` on every CI run.
+    cycle detection instead of a visited-state dictionary; fused pairs
+    (fixed rules or one shared rotating rule, no policy) run from the
+    job's fields in one frame.  It produces bit-identical steady-state
+    results (exact ``Fraction`` bandwidth, period, per-port grants,
+    transient length) at a multiple of the reference throughput, and
+    is cross-checked against the reference by the path harness
+    ``tests/property/paths.py`` on every CI run.
 ``analytic``
     The closed-form solver of :mod:`repro.runner.analytic` as a strict
     backend — raises on jobs the theory does not decide.
@@ -22,8 +24,9 @@
     on as the scalar bit-exactness oracle and the tail fallback).
 ``auto``
     The production tier dispatch: closed form when a theorem certifies
-    the outcome, batch lockstep for large undecided populations, fast
-    simulation otherwise.
+    the outcome, fast simulation for undecided fused pairs at any
+    population size, batch lockstep for 96 or more undecided jobs that
+    step clock by clock, and fast simulation for fewer of them.
 
 All backends also answer :meth:`SimBackend.run_batch`, which amortises
 per-job setup (shared section tables, one dispatch) across a sweep
@@ -45,11 +48,18 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
-from ..memory.config import MemoryConfig
 from ..obs import metrics as _metrics
 from ..obs import names as _names
 from .analytic import AnalyticBackend, AutoBackend
-from .fastsim import FlatSim, find_steady_cycle
+from .fastsim import (
+    FlatSim,
+    bound_exceeded,
+    find_pair_cycle,
+    find_steady_cycle,
+    pair_rotation,
+    run_pair_span,
+    section_table,
+)
 from .job import SimJob, SimOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -162,11 +172,14 @@ class FastBackend:
 
     Per clock the reference engine pays for ``Port`` method calls, stats
     recording, trace hooks and a full-width bank tick; the fast path
-    keeps four integer lists (bank busy countdowns, pending bank / stride
-    per port, active-bank list) plus the precomputed bank→section table,
-    and arbitrates straight on them.  The priority rules are the *same*
-    tiny state machines as the reference (they are part of the simulated
-    state), so winners — and therefore trajectories — match exactly.
+    keeps integer lists (bank busy-until clocks, pending bank and stride
+    per port) plus the precomputed bank→section table, and arbitrates
+    straight on them.  Pairs in a fused shape
+    (:func:`~repro.runner.fastsim.pair_rotation`) run from the job's
+    fields in one frame, with no walker and no policy object; every
+    other job steps a :class:`~repro.runner.fastsim.FlatSim` through the
+    *same* arbiter policy the reference consults.  Winners — and
+    therefore trajectories — match exactly.
     """
 
     name = "fast"
@@ -184,17 +197,13 @@ class FastBackend:
         the per-job setup cost that dominates small steady runs in a
         sweep.
         """
-        sect_cache: dict[MemoryConfig, list[int]] = {}
+        sect_cache: dict[tuple[int, int | None, str], list[int]] = {}
         out: list[SimOutcome] = []
         for job in jobs:
-            cfg = job.config
-            sect = sect_cache.get(cfg)
+            shape = (job.banks, job.sections, job.section_mapping)
+            sect = sect_cache.get(shape)
             if sect is None:
-                from ..memory.sections import section_map_for
-
-                smap = section_map_for(cfg)
-                sect = [smap.section_of(j) for j in range(cfg.banks)]
-                sect_cache[cfg] = sect
+                sect = sect_cache[shape] = section_table(job.config)
             out.append(self._run_with_sect(job, sect))
         return out
 
@@ -212,29 +221,46 @@ class FastBackend:
             if job.arbiter is not None and job.regulate:
                 kind = "wfq+regulated"
             reg.counter(_names.ARBITER_POLICY_JOBS, kind=kind).inc()
+        rot = pair_rotation(job)
+        if rot is not None:
+            # A fused pair from its start state: clock 0, idle banks,
+            # the rule at phase 0.
+            if sect is None:
+                sect = section_table(job.config)
+            same_cpu = job.cpus[0] == job.cpus[1]
+            pair = (job.banks, job.bank_cycle, sect, same_cpu, rot, 0, job.streams)
         if not job.steady:
-            assert job.cycles is not None
-            sim = FlatSim.from_job(job, sect)
-            sim.run_span(job.cycles)
-            total = sum(sim.grants)
+            cycles = job.cycles
+            assert cycles is not None
+            if rot is None:
+                sim = FlatSim.from_job(job, sect)
+                sim.run_span(cycles)
+                grants = tuple(sim.grants)
+            else:
+                grants = run_pair_span(*pair, [0] * job.banks, 0, cycles)[2:]
+            total = sum(grants)
             if reg is not None:
                 reg.counter(_names.FAST_JOBS, mode="span").inc()
-                reg.counter(_names.FAST_CLOCKS, mode="span").inc(sim.cycle)
+                reg.counter(_names.FAST_CLOCKS, mode="span").inc(cycles)
                 reg.counter(_names.FAST_GRANTS, mode="span").inc(total)
             return SimOutcome(
                 job=job,
                 backend=self.name,
-                bandwidth=Fraction(total, sim.cycle) if sim.cycle else Fraction(0),
+                bandwidth=Fraction(total, cycles) if cycles else Fraction(0),
                 period=None,
-                grants=tuple(sim.grants),
+                grants=grants,
                 steady_start=None,
-                cycles=sim.cycle,
+                cycles=cycles,
             )
 
-        mu, lam, grants0, grants1 = find_steady_cycle(
-            lambda: FlatSim.from_job(job, sect), job.max_cycles
-        )
-        per_port = tuple(g1 - g0 for g0, g1 in zip(grants0, grants1))
+        if rot is None:
+            mu, lam, per_port = find_steady_cycle(
+                lambda: FlatSim.from_job(job, sect), job.max_cycles
+            )
+        else:
+            mu, lam, per_port = find_pair_cycle(
+                *pair, [0] * job.banks, 0, job.max_cycles
+            )
         if reg is not None:
             reg.counter(_names.FAST_JOBS, mode="steady").inc()
             reg.counter(_names.FAST_CLOCKS, mode="steady").inc(mu + lam)
@@ -319,10 +345,7 @@ class BatchBackend:
             )
             for k in exceeded:
                 i = steady_idx[k]
-                errors[i] = RuntimeError(
-                    f"no cyclic state within {jobs[i].max_cycles} cycles "
-                    "(state space exhausted the bound)"
-                )
+                errors[i] = bound_exceeded(jobs[i].max_cycles)
             if fallback:
                 if reg is not None:
                     reg.counter(_names.BATCH_FALLBACK, reason="tail").inc(

@@ -47,6 +47,7 @@ from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..sim.priority import parse_priority
 from .analytic import BATCH_MIN_POPULATION
+from .fastsim import section_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .job import SimJob
@@ -99,12 +100,7 @@ def _sect_table(job: "SimJob", cache: SectCache) -> IntArray:
     key = (job.banks, job.sections, job.section_mapping)
     table = cache.get(key)
     if table is None:
-        from ..memory.sections import section_map_for
-
-        smap = section_map_for(job.config)
-        table = np.array(
-            [smap.section_of(j) for j in range(job.banks)], dtype=np.int64
-        )
+        table = np.array(section_table(job.config), dtype=np.int64)
         cache[key] = table
     return table
 

@@ -44,12 +44,14 @@ from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..obs import trace as _trace
 from .api import run
+from .fastsim import bound_exceeded
 from .job import PAYLOAD_ERRORS, SimJob, SimOutcome
 from .resilience import (
     FailedOutcome,
     RetryPolicy,
     SweepFailureError,
     chaos_crash_point,
+    failure_text,
 )
 from .scheduling import ChunkRunner, InlineScheduler, PoolScheduler
 from .scheduling import _Chunk as _Chunk
@@ -114,6 +116,19 @@ def _execute_payload_batch(
 
     chaos_crash_point(jobs)
     return [o.to_payload() for o in resolve_backend(backend).run_batch(jobs)]
+
+
+def _twin(failed: FailedOutcome, ran: SimJob, job: SimJob) -> FailedOutcome:
+    """``failed``, the failure of ``ran``, as ``job``'s: ``job`` shares
+    ``ran``'s key and has no looser bound.  A run that exhausted
+    ``ran``'s bound exhausts ``job``'s too, so ``job`` then fails
+    naming its own."""
+    if job.max_cycles != ran.max_cycles and failed.error == failure_text(
+        bound_exceeded(ran.max_cycles)
+    ):
+        error = failure_text(bound_exceeded(job.max_cycles))
+        return replace(failed, job=job, error=error)
+    return replace(failed, job=job)
 
 
 def _decode_stored(
@@ -233,8 +248,11 @@ class SweepExecutor:
         Returns ``(outcome, level)``: level ``"memo"`` for an in-process
         memo hit (recency refreshed), ``"store"`` for a shared-store read
         (the payload is promoted into the memo, so the next peek says
-        ``"memo"``).  ``None`` on a miss, and always for trace jobs,
-        which are uncacheable.  This is the cheap-path probe of the
+        ``"memo"``).  ``None`` on a miss, always for trace jobs, which
+        are uncacheable, and when the cached steady answer took more
+        clocks than ``job.max_cycles`` allows (a run of the job fails
+        then; a store entry is not promoted for it).  This is the
+        cheap-path probe of the
         :mod:`repro.serve` lookup tier: the event loop calls it inline,
         possibly while one ``run_many`` runs in the drain thread, and it
         never blocks on a simulation.
@@ -246,12 +264,17 @@ class SweepExecutor:
             if payload is not None:
                 self._memo[key] = payload  # LRU refresh
         if payload is not None:
-            return SimOutcome.from_payload(job, payload), "memo"
+            outcome = SimOutcome.from_payload(job, payload)
+            if outcome.cycles > job.max_cycles and job.steady:
+                return None
+            return outcome, "memo"
         if self._store is not None:
             payload = self._store.get(key)
             if payload is not None:
                 outcome = _decode_stored(self._store, job, key, payload)
                 if outcome is not None:
+                    if outcome.cycles > job.max_cycles and job.steady:
+                        return None
                     self._insert({key: payload})
                     return outcome, "store"
         return None
@@ -282,6 +305,10 @@ class SweepExecutor:
                     held[key] = payload
                 elif key in fresh:
                     self.stats.deduped += 1
+                    # Each key runs at its loosest bound; its answer
+                    # then decides every twin's (see below).
+                    if job.max_cycles > fresh[key].max_cycles:
+                        fresh[key] = job
                 else:
                     fresh[key] = job
 
@@ -293,26 +320,52 @@ class SweepExecutor:
         # Each payload is decoded once per key; isomorphic twins get
         # their own outcome sharing the immutable Fraction and grants.
         decoded: dict[str, SimOutcome] = {}
+        # Failures of jobs whose cached or twin's answer exceeds their
+        # own bound.
+        bounded: list[FailedOutcome] = []
         for job, key in zip(jobs, keys):
             if key is None:
                 self.stats.executed += 1
                 out.append(run(job, backend=backend))
-            elif key in failed:
-                out.append(cast(SimOutcome, replace(failed[key], job=job)))
-            elif key in decoded:
-                out.append(decoded[key].for_job(job))
+                continue
+            if key in failed:
+                out.append(cast(SimOutcome, _twin(failed[key], fresh[key], job)))
+                continue
+            if key in decoded:
+                outcome = decoded[key].for_job(job)
             else:
-                # The key's first job.  A store hit was decoded for this
-                # job when it was read; every other key ran or is held
-                # (an explicit check, so a falsy payload never falls
-                # through).
+                # The key's first job.  A store hit was decoded for the
+                # job that would have run; every other key ran or is
+                # held (an explicit check, so a falsy payload never
+                # falls through).
                 if key in stored:
                     outcome = stored[key]
+                    if outcome.job is not job:
+                        outcome = outcome.for_job(job)
                 else:
                     payload = ran[key] if key in ran else held[key]
                     outcome = SimOutcome.from_payload(job, payload)
                 decoded[key] = outcome
-                out.append(outcome)
+                if key in ran and job is fresh[key]:
+                    # Computed for this very job, under its own bound.
+                    out.append(outcome)
+                    continue
+            if outcome.cycles > job.max_cycles and job.steady:
+                # The job fails as a run of its own would have.
+                exc = bound_exceeded(job.max_cycles)
+                if self.retry is None:
+                    raise exc
+                failure = FailedOutcome(
+                    job=job, error=failure_text(exc), attempts=1
+                )
+                bounded.append(failure)
+                outcome = cast(SimOutcome, failure)
+            out.append(outcome)
+        if (failed or bounded) and self.retry is not None and self.retry.strict:
+            # The work that did succeed is already banked (memo, store).
+            raise SweepFailureError(
+                [failed[k] for k in fresh if k in failed] + bounded
+            )
         return out
 
     # ------------------------------------------------------------------
@@ -363,10 +416,6 @@ class SweepExecutor:
                 items, runner
             )
             ran.update(scheduled_ran)
-
-        if failed and self.retry is not None and self.retry.strict:
-            # The work that did succeed is already banked (memo, store).
-            raise SweepFailureError([failed[k] for k in fresh if k in failed])
         return ran, stored, failed
 
     def _finish_chunk(

@@ -14,22 +14,24 @@ against it with short-circuiting C-level list equality; memory is O(1)
 in the run length and the per-clock cost is dominated by the arbitration
 itself.
 
-Arbitration has one input, the job's
-:class:`~repro.sim.arbiter.ArbiterPolicy` — the same protocol object
-the reference engine consults — and one per-clock step that ranks
-contenders and (when regulated) vetoes admissions through it.
+Two-stream jobs with no arbiter policy, under fixed rules or one shared
+``cyclic`` / ``block-cyclic:N`` rule (:func:`pair_rotation` decides
+this from the job spec), run on two functions that each keep the whole
+run in one Python frame on integer locals: :func:`run_pair_span` for a
+fixed horizon and :func:`find_pair_cycle` for the steady detector.
+Neither builds a walker or a policy object.  A two-port rotating rule's
+state is a function of the clock alone, so both take the rule's phase
+at the start clock and compute the winner only on a conflicting clock.
 
-Two-stream jobs run fused loops (span, detector walk, meeting walk)
-with every hot value in integer locals and no policy calls per clock,
-when the policy is a plain :class:`~repro.sim.arbiter.PriorityArbiter`
-whose conflict kinds are both arbitrated by fixed rules or by one
-shared ``cyclic`` / ``block-cyclic:N`` rule.  A two-port rotating
-rule's state is a function of the clock alone, so the loops read its
-phase from the policy snapshot once on entry, compute the winner only
-on a conflicting clock, and restore the phase on exit.  LRU rules,
+Everything else steps clock by clock on :class:`FlatSim`, whose one
+arbitration input is the job's :class:`~repro.sim.arbiter.ArbiterPolicy`
+— the same protocol object the reference engine consults: LRU rules,
 split rules (a separate ``intra_priority`` other than fixed/fixed),
-weighted-fair and regulated policies and jobs with three or more
-streams step clock by clock.
+weighted-fair and regulated policies, and jobs with one or with three
+or more streams.  :func:`find_steady_cycle` runs Brent's algorithm over
+its walkers, and hands a template walker in a fused pair shape (as
+:meth:`Engine.run_to_steady_state <repro.sim.engine.Engine.
+run_to_steady_state>` builds from mid-run) to :func:`find_pair_cycle`.
 
 Bit-identity contract (relied on by the backends and locked by
 ``tests/property``): for the same start state the detector reports
@@ -48,11 +50,20 @@ from ..obs import metrics as _metrics
 from ..obs import names as _names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..memory.config import MemoryConfig
     from ..sim.arbiter import ArbiterPolicy
     from ..sim.priority import PriorityRule
     from .job import SimJob
 
-__all__ = ["FlatSim", "find_steady_cycle"]
+__all__ = [
+    "FlatSim",
+    "bound_exceeded",
+    "find_pair_cycle",
+    "find_steady_cycle",
+    "pair_rotation",
+    "run_pair_span",
+    "section_table",
+]
 
 
 def _record_steady(mu: int, lam: int) -> None:
@@ -63,17 +74,55 @@ def _record_steady(mu: int, lam: int) -> None:
         reg.histogram(_names.FASTSIM_STEADY_MU).observe(mu)
         reg.histogram(_names.FASTSIM_STEADY_LAM).observe(lam)
 
+
+def bound_exceeded(max_cycles: int) -> RuntimeError:
+    """The error every engine raises for a steady job whose transient
+    plus period exceeds its ``max_cycles``."""
+    return RuntimeError(
+        f"no cyclic state within {max_cycles} cycles "
+        "(state space exhausted the bound)"
+    )
+
+
 #: One full comparable state: positions, policy snapshot, bank
 #: countdowns.  Positions lead because they discriminate fastest.
 StateKey = tuple[list[int], tuple, list[int]]
 
 
-def _rotation_block(rule: "PriorityRule") -> int | None:
-    """Clocks per turn of a two-port rotating rule, else ``None``.
+def section_table(config: "MemoryConfig") -> list[int]:
+    """Bank → section index for ``config``, as a flat list."""
+    from ..memory.sections import section_map_for
 
-    Port 1 is favoured on the second half of every ``2 * block``-clock
-    rotation, and the rule's snapshot is its phase in that rotation.
+    smap = section_map_for(config)
+    return [smap.section_of(j) for j in range(config.banks)]
+
+
+def pair_rotation(job: "SimJob") -> int | None:
+    """Rotation block of a job the fused pair functions run, else ``None``.
+
+    Fused jobs have two streams, no ``arbiter`` and no ``regulate``, and
+    either fixed rules for both conflict kinds (``0``: port 0 always
+    wins) or one shared ``cyclic`` (``1``) or ``block-cyclic:N`` (``N``)
+    rule, which favours port 1 on the second half of every
+    ``2·block``-clock turn.
     """
+    if len(job.streams) != 2 or job.arbiter is not None or job.regulate:
+        return None
+    prio, intra = job.priority, job.intra_priority
+    if prio == "fixed":
+        return 0 if intra is None or intra == "fixed" else None
+    if intra is not None or prio == "lru":
+        return None
+    if prio == "cyclic":
+        return 1
+    from ..sim.priority import parse_priority
+
+    return parse_priority(prio)[1]
+
+
+def _rotation_block(rule: "PriorityRule") -> int | None:
+    """:func:`pair_rotation`'s block for a rule object shared by both
+    conflict kinds of a two-port arbiter, else ``None``."""
     from ..sim.priority import BlockCyclicPriority, CyclicPriority
 
     if isinstance(rule, CyclicPriority) and rule.n_ports == 2:
@@ -81,6 +130,188 @@ def _rotation_block(rule: "PriorityRule") -> int | None:
     if isinstance(rule, BlockCyclicPriority) and rule.n_ports == 2:
         return rule.block
     return None
+
+
+def _successors(m: int, stride: int) -> list[int]:
+    """Bank ``(b + stride) % m`` at index ``b``: a stream's next bank."""
+    return [*range(stride, m), *range(stride)]
+
+
+def run_pair_span(
+    m: int,
+    n_c: int,
+    sect: Sequence[int],
+    same_cpu: bool,
+    rot: int,
+    phase: int,
+    streams: Sequence[tuple[int, int]],
+    busy: list[int],
+    t: int,
+    clocks: int,
+) -> tuple[int, int, int, int]:
+    """Advance a fused pair ``clocks`` clocks from clock ``t``.
+
+    The state is the two streams' ``(pending bank, stride)``, the banks'
+    busy-until clocks (bank ``b`` is free at clock ``u`` iff
+    ``busy[b] <= u``; updated in place), the clock and, for a rotating
+    rule (block ``rot`` > 0), its ``phase`` at clock ``t``: a
+    conflicting clock ``u`` grants port 1 iff
+    ``(u - t + phase) // rot`` is odd.  ``sect`` (bank → section) is
+    read only when ``same_cpu``.  Returns both pending banks and both
+    ports' grants over the span.
+    """
+    (b0, s0), (b1, s1) = streams
+    n0, n1 = _successors(m, s0), _successors(m, s1)
+    ph = phase - t
+    c0 = c1 = 0
+    for u in range(t, t + clocks):
+        g0 = busy[b0] <= u
+        g1 = busy[b1] <= u
+        if g0 and g1 and (sect[b0] == sect[b1] if same_cpu else b0 == b1):
+            if rot and ((u + ph) // rot) & 1:
+                g0 = False
+            else:
+                g1 = False
+        if g0:
+            busy[b0] = u + n_c
+            c0 += 1
+            b0 = n0[b0]
+        if g1:
+            busy[b1] = u + n_c
+            c1 += 1
+            b1 = n1[b1]
+    return b0, b1, c0, c1
+
+
+def find_pair_cycle(
+    m: int,
+    n_c: int,
+    sect: Sequence[int],
+    same_cpu: bool,
+    rot: int,
+    phase: int,
+    streams: Sequence[tuple[int, int]],
+    busy: Sequence[int],
+    t: int,
+    max_cycles: int,
+) -> tuple[int, int, tuple[int, ...]]:
+    """:func:`find_steady_cycle` for a fused pair, in one frame.
+
+    Takes the state :func:`run_pair_span` does (``busy`` is only read).
+    Phase 1 re-roots its anchor at every power of two within a
+    ``3·max_cycles + 4`` step budget.  It compares positions every clock
+    and the rule's phase and the busy counters only on a position
+    collision, and counts grants since the anchor: the anchor that
+    recurs lies on the cycle, so those are one period's.  The phase
+    recurs only every ``2·rot`` clocks, so ``lam`` is a multiple of
+    that, and the two phase-2 walkers, ``lam`` apart, need not compare
+    phases.  The leading one starts from the last anchor at or before
+    its start clock.
+    """
+    if max_cycles < 0:
+        raise bound_exceeded(max_cycles)
+    (p0, s0), (p1, s1) = streams
+    n0, n1 = _successors(m, s0), _successors(m, s1)
+    period = 2 * rot if rot else 1
+    ph = phase - t
+
+    # Phase 1 — the minimal period lam.
+    hare = list(busy)
+    b0, b1 = p0, p1
+    limit = 3 * max_cycles + 4
+    power = 1
+    total = 0
+    now = t
+    lam = 0
+    anchors: list[tuple[int, int, int, list[int]]] = []
+    while not lam:
+        window = min(power, limit + 1 - total)
+        k0, k1, anchor, kept = b0, b1, now, hare.copy()
+        anchors.append((anchor, k0, k1, kept))
+        c0 = c1 = 0
+        for u in range(now, now + window):
+            g0 = hare[b0] <= u
+            g1 = hare[b1] <= u
+            if g0 and g1 and (sect[b0] == sect[b1] if same_cpu else b0 == b1):
+                if rot and ((u + ph) // rot) & 1:
+                    g0 = False
+                else:
+                    g1 = False
+            if g0:
+                hare[b0] = u + n_c
+                c0 += 1
+                b0 = n0[b0]
+            if g1:
+                hare[b1] = u + n_c
+                c1 += 1
+                b1 = n1[b1]
+            if (
+                b0 == k0
+                and b1 == k1
+                and (u + 1 - anchor) % period == 0
+                and [v - u - 1 if v > u + 1 else 0 for v in hare]
+                == [v - anchor if v > anchor else 0 for v in kept]
+            ):
+                lam = u + 1 - anchor
+                break
+        else:
+            total += window
+            if window < power:
+                raise bound_exceeded(max_cycles)
+            power <<= 1
+            now += window
+    if lam > max_cycles:
+        raise bound_exceeded(max_cycles)
+
+    # Phase 2 — the minimal transient mu: the first clock u at which
+    # the walker from t meets the one from t + lam (at clock w).
+    w = t + lam
+    a, l0, l1, lead = next(x for x in reversed(anchors) if x[0] <= w)
+    l0, l1 = run_pair_span(
+        m, n_c, sect, same_cpu, rot, phase + a - t,
+        ((l0, s0), (l1, s1)), lead, a, w - a,
+    )[:2]
+    trail = list(busy)
+    r0, r1 = p0, p1
+    u = t
+    while not (
+        r0 == l0
+        and r1 == l1
+        and [v - u if v > u else 0 for v in trail]
+        == [v - w if v > w else 0 for v in lead]
+    ):
+        if w - t >= max_cycles:
+            raise bound_exceeded(max_cycles)
+        g0 = trail[r0] <= u
+        g1 = trail[r1] <= u
+        if g0 and g1 and (sect[r0] == sect[r1] if same_cpu else r0 == r1):
+            if rot and ((u + ph) // rot) & 1:
+                g0 = False
+            else:
+                g1 = False
+        if g0:
+            trail[r0] = u + n_c
+            r0 = n0[r0]
+        if g1:
+            trail[r1] = u + n_c
+            r1 = n1[r1]
+        g0 = lead[l0] <= w
+        g1 = lead[l1] <= w
+        if g0 and g1 and (sect[l0] == sect[l1] if same_cpu else l0 == l1):
+            if rot and ((w + ph) // rot) & 1:
+                g0 = False
+            else:
+                g1 = False
+        if g0:
+            lead[l0] = w + n_c
+            l0 = n0[l0]
+        if g1:
+            lead[l1] = w + n_c
+            l1 = n1[l1]
+        u += 1
+        w += 1
+    _record_steady(u - t, lam)
+    return u - t, lam, (c0, c1)
 
 
 class FlatSim:
@@ -108,7 +339,6 @@ class FlatSim:
         "grants",
         "cycle",
         "ports",
-        "_pair_same_cpu",
     )
 
     def __init__(
@@ -137,9 +367,8 @@ class FlatSim:
         self.policy = policy
         # A plain priority arbiter over fixed rules is stateless: its
         # snapshot needs no compare and walkers may share it.
-        # ``rotation`` is the shape the fused two-port loops take: 0 for
-        # fixed rules (they never rotate), the block length of one
-        # shared rotating rule, and None for everything else.
+        # ``rotation`` is the policy's fused pair shape, as
+        # :func:`pair_rotation` reads it from a job spec, or None.
         self.static_rules = False
         self.rotation: int | None = None
         if type(policy) is PriorityArbiter:
@@ -167,7 +396,6 @@ class FlatSim:
         # mid-run engine carry timestamps in the engine's numbering.
         self.cycle = start_cycle
         self.ports = list(range(self.n))
-        self._pair_same_cpu = self.n == 2 and self.cpu[0] == self.cpu[1]
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -179,23 +407,18 @@ class FlatSim:
         ``sect`` lets batch drivers share one precomputed bank→section
         table across every job with the same memory shape.
         """
-        from ..memory.sections import section_map_for
         from ..sim.arbiter import make_arbiter
 
-        m = job.banks
-        if sect is None:
-            smap = section_map_for(job.config)
-            sect = [smap.section_of(j) for j in range(m)]
         return cls(
-            m=m,
+            m=job.banks,
             n_c=job.bank_cycle,
-            sect=sect,
+            sect=section_table(job.config) if sect is None else sect,
             cpus=job.cpus,
             positions=[b for b, _ in job.streams],
             strides=[d for _, d in job.streams],
             policy=make_arbiter(
                 len(job.streams),
-                m,
+                job.banks,
                 priority=job.priority,
                 intra_priority=job.intra_priority,
                 arbiter=job.arbiter,
@@ -225,7 +448,6 @@ class FlatSim:
         new.grants = self.grants.copy()
         new.cycle = self.cycle
         new.ports = self.ports
-        new._pair_same_cpu = self._pair_same_cpu
         return new
 
     # ------------------------------------------------------------------
@@ -299,90 +521,10 @@ class FlatSim:
 
     def run_span(self, clocks: int) -> None:
         """Advance a fixed number of clock periods."""
-        if self.rotation is not None:
-            self._run_span_pair(clocks)
-            return
         step = self._step_generic
         for _ in range(clocks):
             step()
 
-    # ------------------------------------------------------------------
-    # Fused two-port loops.  A conflicting clock ``t`` (both ports free
-    # and on one section of one CPU, or on one bank across CPUs) grants
-    # port 1 iff ``rot and ((t + ph) // rot) & 1``, where ``rot`` is
-    # the rotation block (0 for fixed rules: port 0 always wins) and
-    # ``ph`` the phase offset read once on entry; the policy is not
-    # called per clock, and the rule's phase is restored on exit.
-    # ------------------------------------------------------------------
-    def _phase(self) -> int:
-        """Offset ``ph`` such that the rotating rule's snapshot at clock
-        ``t`` is ``(t + ph) % (2 * rotation)`` (0 for fixed rules).
-
-        The policy's snapshot is ``(priority, intra)``, one shared rule
-        in both places.
-        """
-        rot = self.rotation
-        if not rot:
-            return 0
-        return (self.policy.snapshot()[0][0] - self.cycle) % (2 * rot)
-
-    def _write_back(self, b0: int, b1: int, c0: int, c1: int, t: int, ph: int) -> None:
-        """Write a fused loop's locals back, the rule's phase included."""
-        self.pos[0] = b0
-        self.pos[1] = b1
-        self.grants[0] = c0
-        self.grants[1] = c1
-        self.cycle = t
-        rot = self.rotation
-        if rot:
-            phase = ((t + ph) % (2 * rot),)
-            self.policy.restore((phase, phase))
-
-    def _run_span_pair(self, clocks: int) -> None:
-        """Fused two-port loop: one frame for the whole span, all hot
-        state carried in integer locals and written back on exit."""
-        busy = self.busy
-        sect = self.sect
-        s0, s1 = self.stride
-        n_c = self.n_c
-        m = self.m
-        same_cpu = self._pair_same_cpu
-        rot = self.rotation
-        ph = self._phase()
-        b0, b1 = self.pos
-        c0, c1 = self.grants
-        t = self.cycle
-        for _ in range(clocks):
-            g0 = busy[b0] <= t
-            g1 = busy[b1] <= t
-            if (
-                g0
-                and g1
-                and (sect[b0] == sect[b1] if same_cpu else b0 == b1)
-            ):
-                if rot and ((t + ph) // rot) & 1:
-                    g0 = False
-                else:
-                    g1 = False
-            until = t + n_c
-            if g0:
-                busy[b0] = until
-                c0 += 1
-                b0 += s0
-                if b0 >= m:
-                    b0 -= m
-            if g1:
-                busy[b1] = until
-                c1 += 1
-                b1 += s1
-                if b1 >= m:
-                    b1 -= m
-            t += 1
-        self._write_back(b0, b1, c0, c1, t, ph)
-
-    # ------------------------------------------------------------------
-    # Bulk detector loops
-    # ------------------------------------------------------------------
     def walk_until_match(self, key: StateKey, window: int) -> int:
         """Step up to ``window`` clocks, checking for ``key`` after each.
 
@@ -390,8 +532,6 @@ class FlatSim:
         ``-1`` when the window closed without a match (the walker then
         sits exactly ``window`` steps further on).
         """
-        if self.rotation is not None:
-            return self._walk_until_match_pair(key, window)
         step = self._step_generic
         matches = self.matches
         for taken in range(1, window + 1):
@@ -399,69 +539,6 @@ class FlatSim:
             if matches(key):
                 return taken
         return -1
-
-    def _walk_until_match_pair(self, key: StateKey, window: int) -> int:
-        """Fused step-and-compare for the two-port shapes.
-
-        The position compare is the only per-clock check; the rule's
-        phase and the O(m) busy normalisation are compared on the rare
-        position collision (fixed rules have one phase, so theirs always
-        matches).
-        """
-        busy = self.busy
-        sect = self.sect
-        s0, s1 = self.stride
-        n_c = self.n_c
-        m = self.m
-        same_cpu = self._pair_same_cpu
-        rot = self.rotation
-        ph = self._phase()
-        period = 2 * rot if rot else 1
-        k0, k1 = key[0]
-        kph = key[1][0][0] if rot else 0
-        kbusy = key[2]
-        b0, b1 = self.pos
-        c0, c1 = self.grants
-        t = self.cycle
-        taken = 0
-        found = -1
-        while taken < window:
-            g0 = busy[b0] <= t
-            g1 = busy[b1] <= t
-            if (
-                g0
-                and g1
-                and (sect[b0] == sect[b1] if same_cpu else b0 == b1)
-            ):
-                if rot and ((t + ph) // rot) & 1:
-                    g0 = False
-                else:
-                    g1 = False
-            until = t + n_c
-            if g0:
-                busy[b0] = until
-                c0 += 1
-                b0 += s0
-                if b0 >= m:
-                    b0 -= m
-            if g1:
-                busy[b1] = until
-                c1 += 1
-                b1 += s1
-                if b1 >= m:
-                    b1 -= m
-            t += 1
-            taken += 1
-            if (
-                b0 == k0
-                and b1 == k1
-                and (t + ph) % period == kph
-                and [u - t if u > t else 0 for u in busy] == kbusy
-            ):
-                found = taken
-                break
-        self._write_back(b0, b1, c0, c1, t, ph)
-        return found
 
     # ------------------------------------------------------------------
     # State identity (for cycle detection)
@@ -500,129 +577,43 @@ class FlatSim:
         return self._busy_counters() == other._busy_counters()
 
 
-def _meet_pair(trail: FlatSim, lead: FlatSim, mu_limit: int) -> int:
-    """Fused phase-2 meeting loop for the two-port shapes.
-
-    Steps both walkers in lockstep until their (clock-normalised)
-    states coincide, returning the step count ``mu`` — or ``-1`` once
-    ``mu_limit`` lockstep steps passed without a meeting.  Both sims
-    are left at the exit state (positions, grants, clock and rule phase
-    written back).
-    """
-    busy_a = trail.busy
-    busy_b = lead.busy
-    sect = trail.sect
-    s0, s1 = trail.stride
-    n_c = trail.n_c
-    m = trail.m
-    same_cpu = trail._pair_same_cpu
-    rot = trail.rotation
-    period = 2 * rot if rot else 1
-    pa = trail._phase()
-    pb = lead._phase()
-    a0, a1 = trail.pos
-    b0, b1 = lead.pos
-    ca0, ca1 = trail.grants
-    cb0, cb1 = lead.grants
-    ta = trail.cycle
-    tb = lead.cycle
-    mu = 0
-    while True:
-        if (
-            a0 == b0
-            and a1 == b1
-            and (ta + pa) % period == (tb + pb) % period
-            and [u - ta if u > ta else 0 for u in busy_a]
-            == [u - tb if u > tb else 0 for u in busy_b]
-        ):
-            break
-        if mu >= mu_limit:
-            mu = -1
-            break
-        g0 = busy_a[a0] <= ta
-        g1 = busy_a[a1] <= ta
-        if (
-            g0
-            and g1
-            and (sect[a0] == sect[a1] if same_cpu else a0 == a1)
-        ):
-            if rot and ((ta + pa) // rot) & 1:
-                g0 = False
-            else:
-                g1 = False
-        until = ta + n_c
-        if g0:
-            busy_a[a0] = until
-            ca0 += 1
-            a0 += s0
-            if a0 >= m:
-                a0 -= m
-        if g1:
-            busy_a[a1] = until
-            ca1 += 1
-            a1 += s1
-            if a1 >= m:
-                a1 -= m
-        ta += 1
-        g0 = busy_b[b0] <= tb
-        g1 = busy_b[b1] <= tb
-        if (
-            g0
-            and g1
-            and (sect[b0] == sect[b1] if same_cpu else b0 == b1)
-        ):
-            if rot and ((tb + pb) // rot) & 1:
-                g0 = False
-            else:
-                g1 = False
-        until = tb + n_c
-        if g0:
-            busy_b[b0] = until
-            cb0 += 1
-            b0 += s0
-            if b0 >= m:
-                b0 -= m
-        if g1:
-            busy_b[b1] = until
-            cb1 += 1
-            b1 += s1
-            if b1 >= m:
-                b1 -= m
-        tb += 1
-        mu += 1
-    trail._write_back(a0, a1, ca0, ca1, ta, pa)
-    lead._write_back(b0, b1, cb0, cb1, tb, pb)
-    return mu
-
-
 def find_steady_cycle(
     make: Callable[[], FlatSim], max_cycles: int
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[int, int, tuple[int, ...]]:
     """Brent's algorithm over fresh walkers from ``make()``.
 
-    Returns ``(mu, lam, grants_at_mu, grants_at_mu_plus_lam)`` where
-    ``mu`` is the minimal transient, ``lam`` the minimal period and the
-    grant tuples are cumulative per-port grants after ``mu`` and
-    ``mu + lam`` clocks — everything the backends need to report the
-    exact steady outcome of the historical first-repeat detector.
+    Returns ``(mu, lam, grants)`` where ``mu`` is the minimal transient,
+    ``lam`` the minimal period and ``grants`` the per-port grants over
+    one period — everything the backends need to report the exact
+    steady outcome of the historical first-repeat detector.
 
     Raises the detector's ``RuntimeError`` iff ``mu + lam > max_cycles``
     (phase 1 is bounded by ``3·max_cycles + 4`` steps, which Brent never
-    exceeds while ``mu + lam <= max_cycles``).
+    exceeds while ``mu + lam <= max_cycles``).  A walker in a fused
+    pair shape is handed, state and rule phase, to
+    :func:`find_pair_cycle`.
     """
-
-    def exhausted() -> RuntimeError:
-        return RuntimeError(
-            f"no cyclic state within {max_cycles} cycles "
-            "(state space exhausted the bound)"
-        )
-
     if max_cycles < 0:
-        raise exhausted()
+        raise bound_exceeded(max_cycles)
 
+    template = make()
+    rot = template.rotation
+    if rot is not None:
+        return find_pair_cycle(
+            template.m,
+            template.n_c,
+            template.sect,
+            template.cpu[0] == template.cpu[1],
+            rot,
+            # A shared rotating rule's snapshot is (phase,) twice over.
+            template.policy.snapshot()[0][0] if rot else 0,
+            list(zip(template.pos, template.stride)),
+            template.busy,
+            template.cycle,
+            max_cycles,
+        )
     # Static-rule workloads spawn walkers by cheap structural copy of
     # one never-stepped template instead of re-deriving the job thrice.
-    template = make()
     if template.static_rules:
         make = template.clone_start
         hare = make()
@@ -632,8 +623,8 @@ def find_steady_cycle(
     # Phase 1 — find the minimal period lam.  The anchor ("tortoise")
     # re-roots at every power of two; transient states never recur, so
     # the first match is at distance exactly lam.  Each power-of-two
-    # window runs as one fused walk-and-compare span; the global step
-    # budget (never hit while mu + lam <= max_cycles) caps the windows.
+    # window runs as one walk-and-compare span; the global step budget
+    # (never hit while mu + lam <= max_cycles) caps the windows.
     limit = 3 * max_cycles + 4
     power = 1
     total = 0
@@ -646,30 +637,24 @@ def find_steady_cycle(
             break
         total += window
         if window < power:
-            raise exhausted()
+            raise bound_exceeded(max_cycles)
         power <<= 1
     if lam > max_cycles:
-        raise exhausted()
+        raise bound_exceeded(max_cycles)
 
     # Phase 2 — find the minimal transient mu: walk two fresh walkers
     # lam apart until they meet; the meeting point is the first state of
-    # the periodic regime, and the walkers' grant counters are exactly
-    # the cumulative grants after mu and mu + lam clocks.
+    # the periodic regime, and the walkers' grant counters differ by
+    # one period's grants.
     lead = make()
     lead.run_span(lam)
     trail = make()
-    if trail.rotation is not None:
-        mu = _meet_pair(trail, lead, max_cycles - lam)
-        if mu < 0:
-            raise exhausted()
-        _record_steady(mu, lam)
-        return mu, lam, tuple(trail.grants), tuple(lead.grants)
     mu = 0
     while not trail.same_state(lead):
         if mu + lam >= max_cycles:
-            raise exhausted()
+            raise bound_exceeded(max_cycles)
         trail._step_generic()
         lead._step_generic()
         mu += 1
     _record_steady(mu, lam)
-    return mu, lam, tuple(trail.grants), tuple(lead.grants)
+    return mu, lam, tuple(g1 - g0 for g0, g1 in zip(trail.grants, lead.grants))

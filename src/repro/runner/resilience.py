@@ -75,6 +75,7 @@ __all__ = [
     "RetryPolicy",
     "SweepFailureError",
     "chaos_crash_point",
+    "failure_text",
     "sleep_ms",
 ]
 
@@ -187,6 +188,11 @@ class SweepFailureError(RuntimeError):
             f"{len(failures)} job(s) failed after retries and "
             f"isolation{detail}"
         )
+
+
+def failure_text(exc: BaseException) -> str:
+    """``exc`` as a :class:`FailedOutcome` error: ``"Class: message"``."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)

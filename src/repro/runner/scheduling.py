@@ -39,7 +39,7 @@ from ..obs import metrics as _metrics
 from ..obs import names as _names
 from ..obs import trace as _trace
 from .job import SimJob
-from .resilience import FailedOutcome, RetryPolicy, sleep_ms
+from .resilience import FailedOutcome, RetryPolicy, failure_text, sleep_ms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -89,14 +89,27 @@ def preferred_chunk(backend: str | None) -> int:
 def _load_batch_kernel(backend: str | None, chunks: Sequence[_Chunk]) -> None:
     """Import the NumPy batch kernel before a pool forks when one of its
     chunks may run it, so forked workers inherit the module instead of
-    each importing NumPy once per pool.  ``auto`` batches only chunks
-    of at least ``BATCH_MIN_POPULATION`` jobs."""
+    each importing NumPy once per pool.  ``auto`` batches only jobs that
+    step clock by clock, and only when a chunk holds at least
+    ``BATCH_MIN_POPULATION`` undecided ones.  Fused pairs never step
+    clock by clock, and the closed form decides single streams, so
+    neither counts here."""
     from .analytic import BATCH_MIN_POPULATION
     from .backends import resolve_backend
+    from .fastsim import pair_rotation
 
     name = resolve_backend(backend).name
     if name == "batch" or (
-        name == "auto" and max(map(len, chunks)) >= BATCH_MIN_POPULATION
+        name == "auto"
+        and any(
+            len(chunk) >= BATCH_MIN_POPULATION
+            and sum(
+                len(job.streams) != 1 and pair_rotation(job) is None
+                for _, job in chunk
+            )
+            >= BATCH_MIN_POPULATION
+            for chunk in chunks
+        )
     ):
         from . import batchsim  # noqa: F401 - imported for its side effect
 
@@ -281,7 +294,7 @@ class ChunkRunner:
         if exc is not None:
             if policy is None:
                 raise exc
-            task.error = f"{context}{type(exc).__name__}: {exc}"
+            task.error = context + failure_text(exc)
         assert policy is not None
         task.troubled = True
         if task.attempt < policy.max_retries:

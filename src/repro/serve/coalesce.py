@@ -7,8 +7,11 @@ lock would waste the batch backends' lockstep width.  The
 :class:`Coalescer` does neither:
 
 * **fold** — requests whose jobs are identical under the Appendix
-  isomorphism (same :meth:`~repro.runner.job.SimJob.cache_key`) share
-  one :class:`asyncio.Future`; only the first enqueues work.
+  isomorphism (same :meth:`~repro.runner.job.SimJob.cache_key`) and
+  carry the same ``max_cycles`` bound share one
+  :class:`asyncio.Future`; only the first enqueues work.  Twins with
+  different bounds may answer differently, so each queues its own job
+  and ``run_many`` runs their key once.
 * **micro-batch** — distinct queued jobs drain together in one
   :meth:`~repro.runner.executor.SweepExecutor.run_many` call, so a
   burst of novel points reaches the batch backend as one wide
@@ -35,16 +38,19 @@ from ..runner.job import SimJob, SimOutcome
 
 __all__ = ["Coalescer"]
 
+#: What folds requests: the canonical key and the job's ``max_cycles``.
+_Slot = tuple[str, int]
+
 
 class Coalescer:
     """Fold and micro-batch concurrent job queries onto one executor."""
 
     def __init__(self, executor: SweepExecutor) -> None:
         self.executor = executor
-        #: canonical key -> the future every folded request awaits
-        self._inflight: dict[str, asyncio.Future[SimOutcome]] = {}
-        #: canonical key -> job queued for the next drain batch
-        self._pending: dict[str, SimJob] = {}
+        #: (canonical key, bound) -> the future every folded request awaits
+        self._inflight: dict[_Slot, asyncio.Future[SimOutcome]] = {}
+        #: (canonical key, bound) -> job queued for the next drain batch
+        self._pending: dict[_Slot, SimJob] = {}
         self._drain_task: asyncio.Task[None] | None = None
         self._closed = False
 
@@ -63,15 +69,16 @@ class Coalescer:
         """Resolve ``job``, folding onto an in-flight twin if one exists.
 
         ``key`` is ``job.cache_key()``, computed once per request by the
-        caller; twins share it.  Raises whatever the executor raised for
-        the batch the job ran in; under a non-strict retry policy
-        failures come back as
+        caller; twins share it, and fold when their bounds agree.
+        Raises whatever the executor raised for the batch the job ran
+        in; under a non-strict retry policy failures come back as
         :class:`~repro.runner.resilience.FailedOutcome` values instead
         (check ``outcome.failed``).
         """
         if self._closed:
             raise RuntimeError("coalescer is closed")
-        fut = self._inflight.get(key)
+        slot = (key, job.max_cycles)
+        fut = self._inflight.get(slot)
         if fut is not None:
             reg = _metrics.active_metrics()
             if reg is not None:
@@ -79,8 +86,8 @@ class Coalescer:
             return await asyncio.shield(fut)
         loop = asyncio.get_running_loop()
         fut = loop.create_future()
-        self._inflight[key] = fut
-        self._pending[key] = job
+        self._inflight[slot] = fut
+        self._pending[slot] = job
         self._set_queue_gauge()
         if self._drain_task is None or self._drain_task.done():
             self._drain_task = loop.create_task(self._drain())
@@ -109,13 +116,13 @@ class Coalescer:
                         None, self.executor.run_many, jobs
                     )
             except Exception as exc:
-                for key in batch:
-                    fut = self._inflight.pop(key)
+                for slot in batch:
+                    fut = self._inflight.pop(slot)
                     if not fut.done():
                         fut.set_exception(exc)
                 continue
-            for key, outcome in zip(batch, outcomes):
-                fut = self._inflight.pop(key)
+            for slot, outcome in zip(batch, outcomes):
+                fut = self._inflight.pop(slot)
                 if not fut.done():
                     fut.set_result(outcome)
 

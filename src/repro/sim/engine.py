@@ -312,12 +312,13 @@ class Engine:
         ``transient + period`` clocks so statistics and traces come out
         as they always have.  Every walker arbitrates with a deep copy
         of :attr:`arbiter`, the policy this engine steps with, whatever
-        its kind; a plain priority wiring still runs the walkers' fused
-        two-port loops where its rules allow.
+        its kind; a two-port plain priority wiring under fixed rules or
+        one shared rotating rule hands its state and rule phase to the
+        one-frame pair detector instead.
         """
         import copy
 
-        from ..runner.fastsim import FlatSim, find_steady_cycle
+        from ..runner.fastsim import FlatSim, bound_exceeded, find_steady_cycle
 
         for p in self.ports:
             if p.stream is None or not p.stream.is_infinite:
@@ -354,14 +355,11 @@ class Engine:
             with _obs_trace.span(
                 _names.SPAN_ENGINE_STEADY_DETECT, start_cycle=start_cycle
             ):
-                mu, lam, _, _ = find_steady_cycle(
+                mu, lam, _ = find_steady_cycle(
                     make, max_cycles - self.cycle
                 )
         except RuntimeError:
-            raise RuntimeError(
-                f"no cyclic state within {max_cycles} cycles "
-                "(state space exhausted the bound)"
-            ) from None
+            raise bound_exceeded(max_cycles) from None
         reg = _metrics.active_metrics()
         if reg is not None:
             reg.counter(_names.ENGINE_STEADY_DETECTIONS).inc()

@@ -4,23 +4,29 @@
 across commits; the reference engine must rederive every entry, and
 every path in ``paths.py`` must return it.  Drawn populations reach the
 in-process executor and the service's lookup tiers, and one population
-is wide enough for the ``auto`` backend's batch tier.
+is wide enough for the ``auto`` backend's batch tier.  Twins — one job
+at the bounds just below and at its ``mu + lam`` — must each answer as
+a cold run of their own would, whichever ran or was cached first.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 
 from repro.runner.analytic import BATCH_MIN_POPULATION
 
 from .paths import (
     CORPUS,
     ENTRIES,
+    NAMED,
     check_batch,
     check_executor,
     check_http,
     check_run,
+    check_twins,
     derive,
+    jobs,
     populations,
     truth,
 )
@@ -59,3 +65,17 @@ def test_auto_population_takes_the_batch_tier(population):
     """Three streams are never decided, so the whole population goes to
     the lockstep kernel in the cold inline pass."""
     assert check_executor(population, "auto", "inline") == BATCH_MIN_POPULATION
+
+
+@pytest.mark.parametrize(
+    "name", ["fig8a", "fig8b", "long-block-cyclic", "xmp-three-ports", "fig3-lru"]
+)
+def test_corpus_twins_on_every_path(name):
+    check_twins(NAMED[name])
+
+
+@given(job=jobs(streams=(1, 3), modes=("steady",)))
+@settings(max_examples=6, deadline=None)
+def test_drawn_twins_on_every_path(job):
+    assume(isinstance(truth(job), dict))
+    check_twins(job)

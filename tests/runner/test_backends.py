@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -189,18 +190,59 @@ class TestBatchBackend:
         assert str(batch_err.value) == str(fast_err.value)
 
     def test_auto_routes_large_populations_to_batch(self):
+        """Only jobs that step clock by clock (here an LRU pair) reach
+        the kernel, and only in populations of at least
+        ``BATCH_MIN_POPULATION``; a fused pair next to them stays on
+        the fast engine."""
         from repro.runner.batchsim import BATCH_MIN_POPULATION
 
-        undecided = SimJob.from_specs(FIG3_CONFIG, [(0, 1), (0, 6)])
+        undecided = SimJob.from_specs(
+            FIG3_CONFIG, [(0, 1), (0, 6)], priority="lru"
+        )
+        fused = SimJob.from_specs(FIG3_CONFIG, [(0, 1), (0, 6)])
         small = get_backend("auto").run_batch([undecided] * 3)
         assert {o.backend for o in small} == {"fast"}
         large = get_backend("auto").run_batch(
-            [undecided] * BATCH_MIN_POPULATION
+            [fused] + [undecided] * BATCH_MIN_POPULATION
         )
-        assert {o.backend for o in large} == {"batch"}
-        assert {(o.bandwidth, o.period) for o in large} == {
+        assert [o.backend for o in large[:2]] == ["fast", "batch"]
+        assert {o.backend for o in large[1:]} == {"batch"}
+        assert {(o.bandwidth, o.period) for o in large[1:]} == {
             (small[0].bandwidth, small[0].period)
         }
+
+    def test_auto_keeps_fused_pairs_on_fast_at_any_size(self):
+        from repro.runner.batchsim import BATCH_MIN_POPULATION
+
+        jobs = [
+            SimJob.from_specs(FIG3_CONFIG, [(0, 1), (b, 6)], priority=rule)
+            for rule in ("fixed", "cyclic", "block-cyclic:3")
+            for b in range(12)
+        ] * 3
+        assert len(jobs) >= BATCH_MIN_POPULATION
+        outs = get_backend("auto").run_batch(jobs)
+        assert {o.backend for o in outs} <= {"analytic", "fast"}
+        assert [o.to_payload() for o in outs if o.backend == "fast"] == [
+            get_backend("fast").run(job).to_payload()
+            for job, o in zip(jobs, outs)
+            if o.backend == "fast"
+        ]
+
+    def test_auto_raises_the_lowest_indexed_failure(self):
+        """Fused pairs and batched jobs run apart; a failure still names
+        the first failing job in population order."""
+        from repro.runner.batchsim import BATCH_MIN_POPULATION
+
+        lru = SimJob.from_specs(FIG3_CONFIG, [(0, 1), (0, 6)], priority="lru")
+        fused = SimJob.from_specs(FIG3_CONFIG, [(0, 1), (0, 6)])
+        jobs = [lru] * BATCH_MIN_POPULATION + [fused]
+        bounded = [replace(lru, max_cycles=2), replace(fused, max_cycles=3)]
+        for population, bound in (
+            ([bounded[0], *jobs[1:-1], bounded[1]], 2),
+            ([bounded[1], *jobs[1:-1], bounded[0]], 3),
+        ):
+            with pytest.raises(RuntimeError, match=f"within {bound} cycles"):
+                get_backend("auto").run_batch(population)
 
     def test_preferred_chunk_hints(self):
         assert get_backend("batch").preferred_chunk >= 1024

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +15,11 @@ from repro.obs import capture_metrics
 from repro.obs import names as obs_names
 from repro.runner import (
     ResultStore,
+    RetryPolicy,
     SimJob,
     SimOutcome,
     SweepExecutor,
+    SweepFailureError,
     default_executor,
     jobs_for_offsets,
     run,
@@ -305,6 +308,99 @@ class TestPeek:
         assert errors == []
         assert peeks > 0
         assert ex.stats.executed > len(hot)
+
+
+def _fig8a(max_cycles: int = 1_000_000) -> SimJob:
+    """The Fig. 8(a) linked conflict: b_eff 3/2, ``mu + lam`` = 4 + 16."""
+    return SimJob(
+        banks=12, bank_cycle=3, sections=3, streams=((0, 1), (1, 1)),
+        cpus=(0, 0), max_cycles=max_cycles,
+    )
+
+
+BOUND_ERROR = "no cyclic state within 3 cycles (state space exhausted the bound)"
+
+
+class TestBounds:
+    """A cached answer counts for a job only within the job's own
+    ``max_cycles``; the key leaves the bound out."""
+
+    def test_bounded_job_raises_after_its_twin_ran(self):
+        ex = SweepExecutor(backend="auto")
+        with pytest.raises(RuntimeError, match="within 3 cycles"):
+            run(_fig8a(3), backend="fast")
+        assert ex.run_one(_fig8a()).bandwidth == Fraction(3, 2)
+        with pytest.raises(RuntimeError) as err:
+            ex.run_one(_fig8a(3))
+        assert str(err.value) == BOUND_ERROR
+
+    def test_twins_in_one_batch_run_at_the_loosest_bound(self):
+        ex = SweepExecutor(backend="auto", retry=RetryPolicy(max_retries=0))
+        bounded, unbounded = ex.run_many([_fig8a(3), _fig8a()])
+        assert bounded.failed and bounded.error == f"RuntimeError: {BOUND_ERROR}"
+        assert bounded.job == _fig8a(3)
+        assert unbounded.bandwidth == Fraction(3, 2)
+        assert (ex.stats.executed, ex.stats.deduped) == (1, 1)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_memo_and_store_hits_respect_the_bound(self, tmp_path, strict):
+        policy = RetryPolicy(max_retries=0, strict=strict)
+        ex = SweepExecutor(backend="auto", retry=policy, store_path=tmp_path)
+        ex.run_one(_fig8a())
+        fresh = SweepExecutor(backend="auto", retry=policy, store_path=tmp_path)
+        for executor in (ex, fresh):
+            if strict:
+                with pytest.raises(SweepFailureError) as err:
+                    executor.run_one(_fig8a(3))
+                [failure] = err.value.failures
+            else:
+                failure = executor.run_one(_fig8a(3))
+            assert failure.error == f"RuntimeError: {BOUND_ERROR}"
+            assert executor.run_one(_fig8a(20)).cycles == 20
+        assert (fresh.stats.executed, fresh.stats.failures) == (0, 0)
+
+    def test_peek_misses_past_the_bound(self, tmp_path):
+        ex = SweepExecutor(backend="auto", store_path=tmp_path)
+        ex.run_one(_fig8a())
+        key = _fig8a().cache_key()
+        assert ex.peek(_fig8a(3), key) is None
+        assert ex.peek(_fig8a(20), key)[1] == "memo"
+        fresh = SweepExecutor(backend="auto", store_path=tmp_path)
+        # A miss promotes nothing: the first answer still reads "store".
+        assert fresh.peek(_fig8a(19), key) is None
+        assert fresh.peek(_fig8a(20), key)[1] == "store"
+        assert fresh.peek(_fig8a(19), key) is None
+        assert fresh.peek(_fig8a(20), key)[1] == "memo"
+
+    def test_served_bounded_job_fails_before_and_after_its_twin(self):
+        import asyncio
+
+        from repro.serve.app import BandwidthService
+
+        # The served executor's policy: a failing job answers 502.
+        drain = RetryPolicy(max_retries=0, backoff_base_ms=0)
+        service = BandwidthService(
+            executor=SweepExecutor(backend="auto", retry=drain)
+        )
+
+        def post(job: SimJob) -> tuple[int, dict]:
+            body = {
+                "banks": 12, "bank_cycle": 3, "sections": 3,
+                "streams": [list(s) for s in job.streams],
+                "cpus": list(job.cpus), "max_cycles": job.max_cycles,
+            }
+            status, _, raw, _ = asyncio.run(
+                service.dispatch("POST", "/v1/beff", json.dumps(body).encode())
+            )
+            return status, json.loads(raw)
+
+        for job in (_fig8a(3), _fig8a(), _fig8a(3)):
+            status, body = post(job)
+            if job.max_cycles == 3:
+                assert (status, body["error"]["mode"]) == (502, "failed-job")
+                assert BOUND_ERROR in body["error"]["message"]
+            else:
+                assert (status, body["bandwidth"]) == (200, "3/2")
 
 
 class TestStats:

@@ -1,9 +1,10 @@
 """What loads when: each stack is imported by the first code that uses it.
 
 NumPy backs only the lockstep batch kernel, so importing the package,
-booting the CLI or the service, and answering requests below the batch
-threshold must not load it.  Each check runs in a fresh interpreter,
-since this test process has long since imported everything.
+booting the CLI or the service, answering requests below the batch
+threshold, and running pairs at any population size must not load it.
+Each check runs in a fresh interpreter, since this test process has
+long since imported everything.
 """
 
 from __future__ import annotations
@@ -122,12 +123,11 @@ def test_validating_and_serving_a_pair_load_only_the_priority_rules():
         "print(json.dumps({'validated': validated, 'served': sim(),\n"
         "                  'tiers': tiers, 'pools': pools}))"
     )
-    # A simulated answer also loads the arbiter policy layer, the fast
-    # engine's one arbitration input.
+    # A fused pair simulates from the job's fields: no arbiter policy.
     rules = ["repro.sim", "repro.sim.priority"]
     assert out == {
         "validated": rules,
-        "served": ["repro.sim", "repro.sim.arbiter", "repro.sim.priority"],
+        "served": rules,
         "tiers": ["simulated", "memo"],
         "pools": [],
     }
@@ -150,21 +150,36 @@ def test_inline_sweep_loads_no_pool_machinery():
     assert out == {"jobs": 16, "pools": []}
 
 
+#: ``BATCH_MIN_POPULATION`` undecided jobs of one clocked shape (the
+#: closed form decides no three-stream job), and the same number of
+#: undecided fused pairs, fixed and cyclic.
+_POPULATIONS = (
+    "from repro.memory.config import MemoryConfig\n"
+    "from repro.runner import SimJob, solve\n"
+    "from repro.runner.analytic import BATCH_MIN_POPULATION\n"
+    "cfg = MemoryConfig(banks=16, bank_cycle=4)\n"
+    "def population(rules, streams, size=BATCH_MIN_POPULATION):\n"
+    "    undecided = {}\n"
+    "    for d1 in range(1, 16):\n"
+    "        for d2 in range(d1, 16):\n"
+    "            for off in range(16):\n"
+    "                for rule in rules:\n"
+    "                    specs = [(0, d1), (off, d2), (1, 3)][:streams]\n"
+    "                    job = SimJob.from_specs(cfg, specs, priority=rule)\n"
+    "                    if solve(job) is None:\n"
+    "                        undecided.setdefault(job.cache_key(), job)\n"
+    "    return list(undecided.values())[:size]\n"
+    "clocked = population(['fixed'], 3)\n"
+    "pairs = population(['fixed', 'cyclic'], 2)\n"
+)
+
+
 def test_batch_kernel_run_loads_numpy_with_fast_answers():
     out = _fresh(
         "import json, sys\n"
-        "from repro.memory.config import MemoryConfig\n"
-        "from repro.runner import SimJob, SweepExecutor, run, solve\n"
-        "from repro.runner.analytic import BATCH_MIN_POPULATION\n"
-        "cfg = MemoryConfig(banks=16, bank_cycle=4)\n"
-        "undecided = {}\n"
-        "for d1 in range(1, 16):\n"
-        "    for d2 in range(d1, 16):\n"
-        "        for off in range(16):\n"
-        "            job = SimJob.from_specs(cfg, [(0, d1), (off, d2)])\n"
-        "            if solve(job) is None:\n"
-        "                undecided.setdefault(job.cache_key(), job)\n"
-        "jobs = list(undecided.values())[:BATCH_MIN_POPULATION]\n"
+        "from repro.runner import SweepExecutor, run\n"
+        + _POPULATIONS
+        + "jobs = clocked\n"
         "before = 'numpy' in sys.modules\n"
         "outs = SweepExecutor(backend='auto').run_many(jobs)\n"
         "def answer(o):\n"
@@ -187,6 +202,64 @@ def test_batch_kernel_run_loads_numpy_with_fast_answers():
         "after": True,
         "equal": True,
     }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fused_pair_populations_stay_on_fast_without_numpy(workers):
+    # Pairs run on the fast engine at any population size, so neither
+    # an inline run nor a pool's parent before the fork imports NumPy.
+    out = _fresh(
+        "import json, sys\n"
+        "from repro.obs import capture_metrics, names\n"
+        "from repro.runner import SweepExecutor, scheduling\n"
+        + _POPULATIONS
+        + "forked = []\n"
+        "load = scheduling._load_batch_kernel\n"
+        "def spy(backend, chunks):\n"
+        "    load(backend, chunks)\n"
+        "    forked.append('numpy' in sys.modules)\n"
+        "scheduling._load_batch_kernel = spy\n"
+        f"ex = SweepExecutor(backend='auto', workers={workers})\n"
+        "with capture_metrics() as metrics:\n"
+        "    ex.run_many(pairs)\n"
+        "fast = metrics.get(names.AUTO_DISPATCH, tier='fastsim')\n"
+        "print(json.dumps({\n"
+        "    'jobs': len(pairs),\n"
+        "    'fastsim': fast.value if fast else 0,\n"
+        "    'forked': forked,\n"
+        "    'numpy': 'numpy' in sys.modules,\n"
+        "}))"
+    )
+    from repro.runner.analytic import BATCH_MIN_POPULATION
+
+    assert out["jobs"] >= BATCH_MIN_POPULATION
+    if workers == 1:
+        # Pool workers keep their own metrics.
+        assert out["fastsim"] == out["jobs"]
+    assert out["forked"] == ([False] if workers > 1 else [])
+    assert out["numpy"] is False
+
+
+def test_pool_parent_preloads_the_kernel_for_clocked_auto_chunks():
+    # Two chunks of 96 undecided three-stream jobs each: every worker's
+    # auto backend batches its chunk, so the parent loads NumPy first.
+    out = _fresh(
+        "import json, sys\n"
+        "from repro.runner import SweepExecutor, scheduling\n"
+        + _POPULATIONS
+        + "forked = []\n"
+        "load = scheduling._load_batch_kernel\n"
+        "def spy(backend, chunks):\n"
+        "    load(backend, chunks)\n"
+        "    forked.append(('numpy' in sys.modules, list(map(len, chunks))))\n"
+        "scheduling._load_batch_kernel = spy\n"
+        "jobs = population(['fixed'], 3, 2 * BATCH_MIN_POPULATION)\n"
+        "SweepExecutor(backend='auto', workers=2).run_many(jobs)\n"
+        "print(json.dumps(forked))"
+    )
+    from repro.runner.analytic import BATCH_MIN_POPULATION
+
+    assert out == [[True, [BATCH_MIN_POPULATION, BATCH_MIN_POPULATION]]]
 
 
 def test_pool_parent_preloads_the_kernel_only_for_batch_chunks():

@@ -28,7 +28,7 @@ ladder::
 **Artifact comparison** (``--compare BEFORE AFTER``) — reads two such
 wall-clock artifacts (same-machine captures) and reports per-benchmark
 speedups; ``--keys SUBSTR [SUBSTR ...]`` restricts the comparison to
-matching benchmark keys.  CI runs this on the committed
+benchmarks whose test name (the key after ``::``) contains one.  CI runs this on the committed
 ``BENCH_before.json`` / ``BENCH_after.json`` pair with
 ``--keys census_population --min-speedup 5`` to pin the lockstep batch
 core's reason to exist.
@@ -154,13 +154,17 @@ def _compare_artifacts(
     keys: list[str] | None = None,
 ) -> dict:
     """Per-benchmark speedups between two wall-clock artifacts,
-    optionally restricted to benchmark keys containing a ``keys``
+    optionally restricted to benchmarks whose test name (the key's text
+    after ``::``, so never its file path) contains a ``keys``
     substring."""
     before = json.loads(pathlib.Path(before_path).read_text())["benchmarks"]
     after = json.loads(pathlib.Path(after_path).read_text())["benchmarks"]
     shared = sorted(set(before) & set(after))
     if keys:
-        shared = [k for k in shared if any(sub in k for sub in keys)]
+        shared = [
+            k for k in shared
+            if any(sub in k.split("::", 1)[-1] for sub in keys)
+        ]
     if not shared:
         raise SystemExit(
             f"no shared benchmarks between {before_path} and {after_path}"
@@ -199,8 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                     help="compare two wall-clock JSON artifacts")
     ap.add_argument("--keys", nargs="+", metavar="SUBSTR",
-                    help="restrict --compare to benchmark keys "
-                         "containing any of these substrings")
+                    help="restrict --compare to benchmarks whose test "
+                         "name (after '::') contains any of these "
+                         "substrings")
     ap.add_argument("--backend",
                     help="with --sweeps, pin $REPRO_BENCH_BACKEND for "
                          "the backend-parametrized benches")
